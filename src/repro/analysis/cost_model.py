@@ -267,10 +267,10 @@ def estimate_closest_pair_distance(
 #: kernel names: the NumPy batch kernels plus the engine's ``*_scalar``
 #: fallbacks.
 KERNEL_NS_PER_PAIR = {
-    "minmin": 112.0,
-    "minmax": 616.0,
-    "maxmax": 88.0,
-    "points": 54.0,
+    "minmin": 35.0,
+    "minmax": 127.0,
+    "maxmax": 54.0,
+    "points": 23.0,
     "minmin_scalar": 1940.0,
     "minmax_scalar": 10980.0,
     "maxmax_scalar": 2120.0,

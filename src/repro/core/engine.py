@@ -38,7 +38,7 @@ from repro.core.height import (
 )
 from repro.core.kheap import KHeap
 from repro.core.result import ClosestPair, CPQResult
-from repro.core.ties import CandidateGeometry, TieBreak
+from repro.core.ties import CandidateBoxes, TieBreak
 from repro.geometry import metrics as scalar_metrics
 from repro.geometry.minkowski import EUCLIDEAN, MinkowskiMetric
 from repro.geometry.vectorized import (
@@ -388,7 +388,7 @@ def scan_leaf_pair(
             if not mask.any():
                 return
             distances = np.where(mask, distances, np.inf)
-        flat = int(np.argmin(distances))
+        flat = int(distances.argmin())
         i, j = divmod(flat, distances.shape[1])
         d = float(distances[i, j])
         if d <= ctx.t and math.isfinite(d):
@@ -397,17 +397,18 @@ def scan_leaf_pair(
     qualifies = distances <= ctx.t
     if mask is not None:
         qualifies &= mask
-    rows, cols = np.nonzero(qualifies)
+    rows, cols = qualifies.nonzero()
     if rows.size == 0:
         return
     values = distances[rows, cols]
     # Offer in ascending order so the K-heap threshold tightens fastest.
-    order = np.argsort(values, kind="stable")
-    for r in order:
-        d = float(values[r])
+    order = values.argsort(kind="stable")
+    entries_p, entries_q = leaf_p.entries, leaf_q.entries
+    for d, r, c in zip(values[order].tolist(), rows[order].tolist(),
+                       cols[order].tolist()):
         if d > ctx.t:
             break
-        ctx.offer(leaf_p.entries[rows[r]], leaf_q.entries[cols[r]], d)
+        ctx.offer(entries_p[r], entries_q[c], d)
 
 
 # ---------------------------------------------------------------------------
@@ -446,28 +447,28 @@ class CandidateSet:
             node_q = self.node_q
         return node_p, node_q
 
-    def geometry(self, ctx: CPQContext, position: int) -> CandidateGeometry:
-        """Geometric context of one candidate (for tie criteria)."""
-        mbr_p = (
-            self.node_p.entries[int(self.idx_p[position])].mbr
-            if self.expand_p
-            else self.node_p.mbr()
+    def child_pages(self):
+        """Page ids of every candidate's node pair, as two lists."""
+        return (
+            _child_pages(self.node_p, self.expand_p, self.idx_p),
+            _child_pages(self.node_q, self.expand_q, self.idx_q),
         )
-        mbr_q = (
-            self.node_q.entries[int(self.idx_q[position])].mbr
-            if self.expand_q
-            else self.node_q.mbr()
-        )
-        minmax = (
-            float(self.minmax[position]) if self.minmax is not None else None
-        )
-        return CandidateGeometry(
-            mbr_p=mbr_p,
-            mbr_q=mbr_q,
-            minmax=minmax,
+
+    def tie_keys(
+        self, ctx: CPQContext, tie_break: TieBreak, positions=None
+    ) -> List[tuple]:
+        """Tie-break keys of the candidates at ``positions`` (default:
+        all), computed for the whole batch at once."""
+        select = slice(None) if positions is None else positions
+        lo_p, hi_p = _side_arrays(self.node_p, self.expand_p)
+        lo_q, hi_q = _side_arrays(self.node_q, self.expand_q)
+        return tie_break.keys(CandidateBoxes(
+            lo_p, hi_p, self.idx_p[select],
+            lo_q, hi_q, self.idx_q[select],
+            minmax=None if self.minmax is None else self.minmax[select],
             root_area_p=ctx.root_area_p,
             root_area_q=ctx.root_area_q,
-        )
+        ))
 
     def __len__(self) -> int:
         return len(self.minmin)
@@ -481,6 +482,13 @@ def _side_arrays(node: Node, expand: bool):
         np.array([mbr.lo], dtype=float),
         np.array([mbr.hi], dtype=float),
     )
+
+
+def _child_pages(node: Node, expand: bool, idx: np.ndarray) -> List[int]:
+    if not expand:
+        return [node.page_id] * len(idx)
+    entries = node.entries
+    return [entries[i].child_id for i in idx.tolist()]
 
 
 def _side_mbrs(node: Node, expand: bool):
@@ -724,24 +732,23 @@ def order_candidates(
     if options.tie_break is None or len(order) < 2:
         return order
     values = candidates.minmin[order]
-    result: List[int] = []
-    run_start = 0
-    for i in range(1, len(order) + 1):
-        if i < len(order) and values[i] == values[run_start]:
-            continue
-        run = order[run_start:i]
-        if len(run) > 1:
-            if ctx.tracer.enabled:
-                ctx.trace_add("tie_break_keys", len(run))
-            run = sorted(
-                run,
-                key=lambda pos: options.tie_break.key(
-                    candidates.geometry(ctx, int(pos))
-                ),
-            )
-        result.extend(int(r) for r in run)
-        run_start = i
-    return np.array(result, dtype=int)
+    tied = values[1:] == values[:-1]
+    if not tied.any():
+        return order
+    # Only positions inside runs of equal MINMINDIST get tie keys; a
+    # stable sort on (MINMINDIST, key) then reorders each run alone.
+    in_run = np.concatenate(([False], tied)) | np.concatenate((tied, [False]))
+    positions = order[in_run]
+    if ctx.tracer.enabled:
+        ctx.trace_add("tie_break_keys", len(positions))
+    keys = dict(zip(
+        positions.tolist(),
+        candidates.tie_keys(ctx, options.tie_break, positions),
+    ))
+    minmin = candidates.minmin.tolist()
+    return np.array(sorted(
+        order.tolist(), key=lambda pos: (minmin[pos], keys.get(pos, ()))
+    ), dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -777,11 +784,12 @@ def _visit(
         return
     candidates = generate_candidates(ctx, node_p, node_q, options)
     order = order_candidates(ctx, candidates, options)
-    for i, position in enumerate(order):
+    minmin = candidates.minmin.tolist()
+    for i, position in enumerate(order.tolist()):
         # T may have tightened since generation; re-check before paying
         # the I/O of the descent.
         if options.prune:
-            if candidates.minmin[position] > ctx.t:
+            if minmin[position] > ctx.t:
                 if options.sort:
                     if ctx.tracer.enabled:
                         ctx.trace_add("pairs_repruned", len(order) - i)
@@ -789,5 +797,5 @@ def _visit(
                 if ctx.tracer.enabled:
                     ctx.trace_add("pairs_repruned", 1)
                 continue
-        child_p, child_q = candidates.child_nodes(ctx, int(position))
+        child_p, child_q = candidates.child_nodes(ctx, position)
         _visit(ctx, child_p, child_q, options)

@@ -80,25 +80,17 @@ def heap_algorithm(
         if node_p.is_leaf and node_q.is_leaf:
             scan_leaf_pair(ctx, node_p, node_q, options)
             return
+        # Every candidate already passed MINMINDIST <= T (pruned in
+        # generate_candidates, and T has not moved since).
         candidates = generate_candidates(ctx, node_p, node_q, options)
-        for position in range(len(candidates)):
-            minmin = float(candidates.minmin[position])
-            if minmin > ctx.t:
-                continue
-            key = ties.key(candidates.geometry(ctx, position))
-            if candidates.expand_p:
-                entry = node_p.entries[int(candidates.idx_p[position])]
-                page_p = entry.child_id
-            else:
-                page_p = node_p.page_id
-            if candidates.expand_q:
-                entry = node_q.entries[int(candidates.idx_q[position])]
-                page_q = entry.child_id
-            else:
-                page_q = node_q.page_id
-            seq += 1
-            heapq.heappush(heap, (minmin, key, seq, page_p, page_q))
-            ctx.stats.queue_inserts += 1
+        pages_p, pages_q = candidates.child_pages()
+        for item in zip(candidates.minmin.tolist(),
+                        candidates.tie_keys(ctx, ties),
+                        range(seq + 1, seq + 1 + len(candidates)),
+                        pages_p, pages_q):
+            heapq.heappush(heap, item)
+        seq += len(candidates)
+        ctx.stats.queue_inserts += len(candidates)
         if len(heap) > ctx.stats.max_queue_size:
             ctx.stats.max_queue_size = len(heap)
 

@@ -48,13 +48,19 @@ class KHeap:
     own total order rather than by arrival order.
     """
 
-    __slots__ = ("k", "_heap")
+    __slots__ = ("k", "_heap", "threshold")
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
         self._heap: List[_MaxItem] = []
+        #: Current pruning bound: the K-th best distance, or +inf while
+        #: the heap has empty slots and every pair is a candidate
+        #: (Section 3.8).  A plain attribute kept current by
+        #: :meth:`offer`, the only mutator, because the traversal reads
+        #: it once per candidate.
+        self.threshold = math.inf
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -63,26 +69,18 @@ class KHeap:
     def full(self) -> bool:
         return len(self._heap) >= self.k
 
-    @property
-    def threshold(self) -> float:
-        """Current pruning bound: the K-th best distance, or +inf.
-
-        While the heap has empty slots every pair is a candidate, so
-        the bound is infinite (Section 3.8).
-        """
-        if not self.full:
-            return math.inf
-        return self._heap[0].pair.distance
-
     def offer(self, pair: ClosestPair) -> bool:
         """Consider a pair; returns True when it entered the heap."""
-        if not self.full:
-            heapq.heappush(self._heap, _MaxItem(pair))
-            return True
-        if pair < self._heap[0].pair:
-            heapq.heapreplace(self._heap, _MaxItem(pair))
-            return True
-        return False
+        heap = self._heap
+        if len(heap) < self.k:
+            heapq.heappush(heap, _MaxItem(pair))
+        elif pair < heap[0].pair:
+            heapq.heapreplace(heap, _MaxItem(pair))
+        else:
+            return False
+        if len(heap) >= self.k:
+            self.threshold = heap[0].pair.distance
+        return True
 
     def sorted_pairs(self) -> List[ClosestPair]:
         """The held pairs in ascending canonical order."""

@@ -82,10 +82,13 @@ def minmaxdist(a: MBR, b: MBR, metric: MinkowskiMetric = EUCLIDEAN) -> float:
     are at most MAXDIST(face, face) apart (Inequality 2 of the paper).
 
     For finite ``p`` this uses the same branch-free closed form as
-    ``repro.geometry.vectorized.pairwise_minmaxdist`` with the identical
-    operation order, so the scalar and vectorized engine paths produce
-    bit-identical values; the Chebyshev metric keeps the literal face
-    enumeration (as does the kernel).
+    ``repro.geometry.vectorized.pairwise_minmaxdist``, built from the
+    same four absolute bound gaps per dimension and summed in the same
+    order.  The kernel takes the minimum over ``l != j`` before adding
+    it, which rounding (monotone) cannot tell apart from the minimum
+    over all ``(j, l)`` sums below, so the scalar and vectorized engine
+    paths produce bit-identical values; the Chebyshev metric keeps the
+    literal face enumeration (as does the kernel).
     """
     p = metric.p
     if p == math.inf:
@@ -105,36 +108,14 @@ def minmaxdist(a: MBR, b: MBR, metric: MinkowskiMetric = EUCLIDEAN) -> float:
     pabp = []
     total = 0.0
     for j, (al, ah, bl, bh) in enumerate(zip(a.lo, a.hi, b.lo, b.hi)):
-        mp = _power(max(abs(ah - bl), abs(bh - al)), p)
+        ll, lh = abs(al - bl), abs(al - bh)
+        hl, hh = abs(ah - bl), abs(ah - bh)
+        mp = _power(max(hl, lh), p)
         total = mp if j == 0 else total + mp
         mxp.append(mp)
-        pap.append(
-            _power(
-                min(
-                    max(abs(al - bl), abs(bh - al)),
-                    max(abs(ah - bl), abs(bh - ah)),
-                ),
-                p,
-            )
-        )
-        pbp.append(
-            _power(
-                min(
-                    max(abs(bl - al), abs(ah - bl)),
-                    max(abs(bh - al), abs(ah - bh)),
-                ),
-                p,
-            )
-        )
-        pabp.append(
-            _power(
-                min(
-                    min(abs(al - bl), abs(al - bh)),
-                    min(abs(ah - bl), abs(ah - bh)),
-                ),
-                p,
-            )
-        )
+        pap.append(_power(min(max(ll, lh), max(hl, hh)), p))
+        pbp.append(_power(min(max(ll, hl), max(lh, hh)), p))
+        pabp.append(_power(min(min(ll, lh), min(hl, hh)), p))
     # Both faces pin the same dimension j.
     best = min((total - mxp[j]) + pabp[j] for j in range(k))
     # Faces pin different dimensions j (side a) and l != j (side b).

@@ -12,6 +12,11 @@ and return an ``(n, m)`` matrix for the cross product of the two sides.
 Points are passed as degenerate rectangles or as ``(n, k)`` coordinate
 arrays where noted.
 
+Each kernel loops over the k dimensions on 2-D ``(n, m)`` arrays of
+per-dimension deltas, accumulated left to right as the scalar helpers
+of :mod:`repro.geometry.metrics` do; with k = 2 or 3 and n, m <= M a
+few whole-matrix operations per dimension beat ``(n, m, k)`` tensors.
+
 Every public kernel tallies its invocation into :data:`KERNEL_STATS`
 (calls and entry pairs evaluated), which the service metrics snapshot
 exposes for cost-model recalibration.
@@ -29,13 +34,14 @@ minimum is the best of
   they pin different dimensions (``pA_j`` / ``pB_l`` are the best
   pinned-bound MAXDIST deltas of the respective sides).
 
-The cross-dimension minimum is found without materialising the
-``k x k`` grid by combining each ``j`` with the best ``l != j`` via the
-two smallest values of the ``B``-side deltas.
+All of these are mins and maxes of four absolute bound gaps per
+dimension, ``|lo-lo|``, ``|lo-hi|``, ``|hi-lo|`` and ``|hi-hi|``
+(``|x| == |-x|`` exactly in IEEE arithmetic).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from typing import Dict
@@ -84,22 +90,30 @@ class KernelStats:
 KERNEL_STATS = KernelStats()
 
 
-def _combine(deltas: np.ndarray, metric: MinkowskiMetric) -> np.ndarray:
-    """Aggregate a (..., k) delta array into (...) distances."""
+def _combine(deltas, metric: MinkowskiMetric) -> np.ndarray:
+    """Aggregate per-dimension delta arrays into distances.
+
+    ``deltas`` yields one freshly allocated non-negative array per
+    dimension (all of one shape); they are consumed in place, summed
+    as powers (or maxed, for Chebyshev) left to right.
+    """
     p = metric.p
-    if p == 2.0:
-        return np.sqrt(np.sum(deltas * deltas, axis=-1))
-    if p == 1.0:
-        return np.sum(deltas, axis=-1)
+    deltas = iter(deltas)
     if p == math.inf:
-        return np.max(deltas, axis=-1)
-    return np.sum(deltas ** p, axis=-1) ** (1.0 / p)
+        out = next(deltas)
+        for delta in deltas:
+            np.maximum(out, delta, out=out)
+        return out
+    out = _power(next(deltas), p)
+    for delta in deltas:
+        out += _power(delta, p)
+    return _finish(out, p)
 
 
 def _power(deltas: np.ndarray, p: float) -> np.ndarray:
     """Per-dimension power term of a finite-``p`` Minkowski metric."""
     if p == 2.0:
-        return deltas * deltas
+        return np.multiply(deltas, deltas, out=deltas)
     if p == 1.0:
         return deltas
     return deltas ** p
@@ -114,14 +128,48 @@ def _finish(powered: np.ndarray, p: float) -> np.ndarray:
     return powered ** (1.0 / p)
 
 
+def _gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``|a - b|`` as a new array."""
+    out = a - b
+    return np.abs(out, out=out)
+
+
+def _columns(a: np.ndarray, b: np.ndarray):
+    """Per dimension: the column of ``a`` as ``(n, 1)`` and of ``b`` as
+    ``(1, m)``, so that operations on them broadcast to ``(n, m)``."""
+    return zip(a.T[:, :, None], b.T[:, None, :])
+
+
+def _aligned(a: np.ndarray, b: np.ndarray):
+    """Per dimension: the columns of ``a`` and ``b``, row by row."""
+    return zip(a.T, b.T)
+
+
+def _point_deltas(points_a, points_b):
+    for a, b in _columns(points_a, points_b):
+        yield _gap(a, b)
+
+
+def _mindist_deltas(lo_a, hi_a, lo_b, hi_b, columns=_columns):
+    for (a_lo, b_hi), (a_hi, b_lo) in zip(columns(lo_a, hi_b),
+                                          columns(hi_a, lo_b)):
+        yield np.maximum(np.maximum(a_lo - b_hi, b_lo - a_hi), 0.0)
+
+
+def _maxdist_deltas(lo_a, hi_a, lo_b, hi_b):
+    for (a_hi, b_lo), (a_lo, b_hi) in zip(_columns(hi_a, lo_b),
+                                          _columns(lo_a, hi_b)):
+        out = _gap(a_hi, b_lo)
+        yield np.maximum(out, _gap(b_hi, a_lo), out=out)
+
+
 def pairwise_point_distances(
     points_a: np.ndarray,
     points_b: np.ndarray,
     metric: MinkowskiMetric = EUCLIDEAN,
 ) -> np.ndarray:
     """All distances between two point arrays; shape ``(n, m)``."""
-    deltas = np.abs(points_a[:, None, :] - points_b[None, :, :])
-    out = _combine(deltas, metric)
+    out = _combine(_point_deltas(points_a, points_b), metric)
     KERNEL_STATS.record("points", out.size)
     return out
 
@@ -134,26 +182,9 @@ def pairwise_mindist(
     metric: MinkowskiMetric = EUCLIDEAN,
 ) -> np.ndarray:
     """MINMINDIST matrix between two rectangle arrays; shape ``(n, m)``."""
-    gap_ab = lo_a[:, None, :] - hi_b[None, :, :]
-    gap_ba = lo_b[None, :, :] - hi_a[:, None, :]
-    deltas = np.maximum(np.maximum(gap_ab, gap_ba), 0.0)
-    out = _combine(deltas, metric)
+    out = _combine(_mindist_deltas(lo_a, hi_a, lo_b, hi_b), metric)
     KERNEL_STATS.record("minmin", out.size)
     return out
-
-
-def _maxdist_matrix(
-    lo_a: np.ndarray,
-    hi_a: np.ndarray,
-    lo_b: np.ndarray,
-    hi_b: np.ndarray,
-    metric: MinkowskiMetric,
-) -> np.ndarray:
-    deltas = np.maximum(
-        np.abs(hi_a[:, None, :] - lo_b[None, :, :]),
-        np.abs(hi_b[None, :, :] - lo_a[:, None, :]),
-    )
-    return _combine(deltas, metric)
 
 
 def pairwise_maxdist(
@@ -164,9 +195,18 @@ def pairwise_maxdist(
     metric: MinkowskiMetric = EUCLIDEAN,
 ) -> np.ndarray:
     """MAXMAXDIST matrix between two rectangle arrays; shape ``(n, m)``."""
-    out = _maxdist_matrix(lo_a, hi_a, lo_b, hi_b, metric)
+    out = _combine(_maxdist_deltas(lo_a, hi_a, lo_b, hi_b), metric)
     KERNEL_STATS.record("maxmax", out.size)
     return out
+
+
+def _faces(lo: np.ndarray, hi: np.ndarray):
+    """The 2k faces of every box: one dimension pinned to one bound."""
+    for d in range(lo.shape[1]):
+        for bound in (lo, hi):
+            face_lo, face_hi = lo.copy(), hi.copy()
+            face_lo[:, d] = face_hi[:, d] = bound[:, d]
+            yield face_lo, face_hi
 
 
 def _minmaxdist_faces(
@@ -181,86 +221,12 @@ def _minmaxdist_faces(
     Kept as the Chebyshev (``p = inf``) path, where the powered-sum
     decomposition of the branch-free form does not apply.
     """
-    n, k = lo_a.shape
-    m = lo_b.shape[0]
-    best = np.full((n, m), np.inf)
-    bounds_a = (lo_a, hi_a)
-    bounds_b = (lo_b, hi_b)
-    for da in range(k):
-        for side_a in range(2):
-            face_lo_a = lo_a.copy()
-            face_hi_a = hi_a.copy()
-            face_lo_a[:, da] = face_hi_a[:, da] = bounds_a[side_a][:, da]
-            for db in range(k):
-                for side_b in range(2):
-                    face_lo_b = lo_b.copy()
-                    face_hi_b = hi_b.copy()
-                    face_lo_b[:, db] = face_hi_b[:, db] = (
-                        bounds_b[side_b][:, db]
-                    )
-                    d = _maxdist_matrix(
-                        face_lo_a, face_hi_a, face_lo_b, face_hi_b, metric
-                    )
-                    np.minimum(best, d, out=best)
-    return best
-
-
-def _minmaxdist_powered(
-    lo_a: np.ndarray,
-    hi_a: np.ndarray,
-    lo_b: np.ndarray,
-    hi_b: np.ndarray,
-    p: float,
-) -> np.ndarray:
-    """Branch-free powered MINMAXDIST (see module docstring)."""
-    k = lo_a.shape[1]
-    a_lo = lo_a[:, None, :]
-    a_hi = hi_a[:, None, :]
-    b_lo = lo_b[None, :, :]
-    b_hi = hi_b[None, :, :]
-
-    # Per-dimension MAXDIST delta and its powered running sum S.
-    mx = np.maximum(np.abs(a_hi - b_lo), np.abs(b_hi - a_lo))
-    mxp = _power(mx, p)
-    total = mxp[..., 0].copy()
-    for j in range(1, k):
-        total += mxp[..., j]
-
-    # Best pinned-bound deltas: pa pins side A to one bound, pb pins
-    # side B, pab pins both (same dimension).
-    pa = np.minimum(
-        np.maximum(np.abs(a_lo - b_lo), np.abs(b_hi - a_lo)),
-        np.maximum(np.abs(a_hi - b_lo), np.abs(b_hi - a_hi)),
-    )
-    pb = np.minimum(
-        np.maximum(np.abs(b_lo - a_lo), np.abs(a_hi - b_lo)),
-        np.maximum(np.abs(b_hi - a_lo), np.abs(a_hi - b_hi)),
-    )
-    pab = np.minimum(
-        np.minimum(np.abs(a_lo - b_lo), np.abs(a_lo - b_hi)),
-        np.minimum(np.abs(a_hi - b_lo), np.abs(a_hi - b_hi)),
-    )
-    pabp = _power(pab, p)
-
-    # Both faces pin the same dimension j.
-    best = np.min((total[..., None] - mxp) + pabp, axis=-1)
-
-    # Faces pin different dimensions j (side A) and l != j (side B):
-    # for each j, the best l is either the global minimum of the B-side
-    # deltas or, when that minimum sits at j itself, the runner-up.
-    if k > 1:
-        u = _power(pa, p) - mxp
-        v = _power(pb, p) - mxp
-        v_sorted = np.sort(v, axis=-1)
-        v_best = v_sorted[..., 0]
-        v_second = v_sorted[..., 1]
-        v_arg = np.argmin(v, axis=-1)
-        dims = np.arange(k)
-        v_excl = np.where(
-            v_arg[..., None] == dims, v_second[..., None], v_best[..., None]
-        )
-        cross = np.min(u + v_excl, axis=-1)
-        best = np.minimum(best, total + cross)
+    best = np.full((len(lo_a), len(lo_b)), np.inf)
+    for face_lo_a, face_hi_a in _faces(lo_a, hi_a):
+        for face_lo_b, face_hi_b in _faces(lo_b, hi_b):
+            deltas = _maxdist_deltas(face_lo_a, face_hi_a,
+                                     face_lo_b, face_hi_b)
+            np.minimum(best, _combine(deltas, metric), out=best)
     return best
 
 
@@ -281,12 +247,45 @@ def pairwise_minmaxdist(
     last ulp (NumPy's array power and CPython's scalar ``pow`` may
     round differently).
     """
-    if metric.p == math.inf:
+    p = metric.p
+    if p == math.inf:
         out = _minmaxdist_faces(lo_a, hi_a, lo_b, hi_b, metric)
-    else:
-        out = _finish(
-            _minmaxdist_powered(lo_a, hi_a, lo_b, hi_b, metric.p), metric.p
-        )
+        KERNEL_STATS.record("minmax", out.size)
+        return out
+    # Per dimension: the powered MAXDIST term (mx) and the powered best
+    # pinned-bound terms of side A (pa), side B (pb) and both (pab).
+    mx, pa, pb, pab = [], [], [], []
+    for (a_lo, b_lo), (a_hi, b_hi) in zip(_columns(lo_a, lo_b),
+                                          _columns(hi_a, hi_b)):
+        ll = _gap(a_lo, b_lo)
+        lh = _gap(a_lo, b_hi)
+        hl = _gap(a_hi, b_lo)
+        hh = _gap(a_hi, b_hi)
+        mx.append(_power(np.maximum(hl, lh), p))
+        pa.append(_power(
+            np.minimum(np.maximum(ll, lh), np.maximum(hl, hh)), p))
+        pb.append(_power(
+            np.minimum(np.maximum(ll, hl), np.maximum(lh, hh)), p))
+        pab.append(_power(
+            np.minimum(np.minimum(ll, lh), np.minimum(hl, hh)), p))
+    k = len(mx)
+    total = mx[0].copy()
+    for j in range(1, k):
+        total += mx[j]
+    # Both faces pin the same dimension j.
+    best = (total - mx[0]) + pab[0]
+    for j in range(1, k):
+        np.minimum(best, (total - mx[j]) + pab[j], out=best)
+    # Faces pin different dimensions: j on side A, the best l != j on
+    # side B.  Rounding is monotone, so taking the minimum over l before
+    # the additions changes no bit.
+    if k > 1:
+        u = [a - m for a, m in zip(pa, mx)]
+        v = [b - m for b, m in zip(pb, mx)]
+        for j in range(k):
+            v_rest = functools.reduce(np.minimum, v[:j] + v[j + 1:])
+            np.minimum(best, total + (u[j] + v_rest), out=best)
+    out = _finish(best, p)
     KERNEL_STATS.record("minmax", out.size)
     return out
 
@@ -307,10 +306,7 @@ def batch_mindist(
     executor.  Same arithmetic as the pairwise kernel, so values are
     bit-identical to the corresponding matrix entries.
     """
-    gap_ab = lo_a - hi_b
-    gap_ba = lo_b - hi_a
-    deltas = np.maximum(np.maximum(gap_ab, gap_ba), 0.0)
-    out = _combine(deltas, metric)
+    out = _combine(_mindist_deltas(lo_a, hi_a, lo_b, hi_b, _aligned), metric)
     KERNEL_STATS.record("minmin_batch", out.size)
     return out
 
@@ -342,7 +338,5 @@ def point_rect_mindist(
     metric: MinkowskiMetric = EUCLIDEAN,
 ) -> np.ndarray:
     """MINDIST from each point to each rectangle; shape ``(n, m)``."""
-    below = lo[None, :, :] - points[:, None, :]
-    above = points[:, None, :] - hi[None, :, :]
-    deltas = np.maximum(np.maximum(below, above), 0.0)
-    return _combine(deltas, metric)
+    # A point is the degenerate box [point, point].
+    return _combine(_mindist_deltas(points, points, lo, hi), metric)

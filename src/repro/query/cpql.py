@@ -11,13 +11,16 @@ over them.  One statement form is spoken::
 
 Grammar (keywords case-insensitive, ``[]`` optional)::
 
-    query    := SELECT CLOSEST PAIRS [K n] FROM ident [, ident]
+    query    := SELECT CLOSEST PAIRS [K n] FROM name [, name]
                 [WHERE pred (AND pred)*] [USING ident]
+    name     := ident | P | Q
     pred     := RANGE ( num {, num} ) [ON side]
               | COLORS [MOD n] [DISTINCT] [P ( ints )] [Q ( ints )]
     side     := P | Q | BOTH
 
-``FROM a`` alone is the self-join ``FROM a, a``.  ``RANGE`` takes an
+``FROM a`` alone is the self-join ``FROM a, a``.  Keywords are
+reserved, except that ``P`` and ``Q`` -- side selectors only inside
+``WHERE`` -- may name datasets: ``FROM p, q``.  ``RANGE`` takes an
 even number of coordinates, low corner then high corner.  ``COLORS``
 needs at least one of ``MOD`` / ``DISTINCT``; ``COLORS DISTINCT``
 alone is the classical bichromatic query (modulus 2).  ``USING``
@@ -247,6 +250,14 @@ class _Parser:
         self.index += 1
         return token
 
+    def take_dataset(self) -> str:
+        # P and Q select sides only inside WHERE, so in FROM they are
+        # plain names ("FROM p, q"); other keywords stay reserved.
+        if self.current.keyword in ("P", "Q"):
+            self.index += 1
+            return self.tokens[self.index - 1].text
+        return self.take_ident("a dataset name").text
+
     def take_int(self, what: str) -> int:
         if self.current.kind != "number":
             raise self.error(f"expected {what}")
@@ -279,11 +290,11 @@ class _Parser:
                 raise self.error("K must be >= 1",
                                  self.tokens[self.index - 1])
         self.take_keyword("FROM")
-        dataset_p = self.take_ident("a dataset name").text
+        dataset_p = self.take_dataset()
         dataset_q = dataset_p  # FROM a == self-join FROM a, a
         if self.current.kind == "punct" and self.current.text == ",":
             self.take_punct(",")
-            dataset_q = self.take_ident("a dataset name").text
+            dataset_q = self.take_dataset()
         range_spec = None
         colors = None
         if self.accept_keyword("WHERE"):

@@ -13,10 +13,12 @@ Both keep a free list so deleted pages are reused, and both support
 wal`) can re-apply page images to a store that never saw the original
 allocation.
 
-``FilePageStore`` additionally offers an ``mmap``-backed read path
-(``use_mmap=True``): warm page reads become one slice of a shared
-memory mapping instead of a Python ``seek`` + ``read`` round trip
-through the buffered file object.  ``benchmarks/bench_mutation.py``
+``FilePageStore`` reads and writes with ``os.pread`` / ``os.pwrite`` on
+one descriptor, so no operation uses or moves a shared file position
+and readers on other threads cannot race a writer for one.  It also
+offers an ``mmap``-backed read path (``use_mmap=True``): warm page
+reads become one slice of a shared memory mapping instead of a
+``pread`` system call.  ``benchmarks/bench_mutation.py``
 measures the difference; ``docs/STORAGE.md`` discusses when it pays.
 """
 
@@ -128,12 +130,16 @@ class FilePageStore:
     is not needed by any experiment -- crash recovery rebuilds it from
     the WAL's FREE records instead).
 
+    Every page transfer is one positioned system call (``os.pread`` /
+    ``os.pwrite``) on a single descriptor: there is no file position to
+    share and no user-space write buffer, so a thread reading one page
+    while another rewrites a different page cannot get a short or
+    misplaced read, and a write is visible to every reader (mapped or
+    not) as soon as it returns.
+
     ``use_mmap`` switches warm reads to a shared memory mapping of the
-    file: a page read becomes one slice instead of ``seek`` + ``read``
-    through the buffered file object.  The mapping is rebuilt lazily
-    whenever the file has grown past it, and writes performed through
-    this store are flushed before the next mapped read so the mapping
-    (same file, unified page cache) always observes them.
+    file: a page read becomes one slice instead of a ``pread``.  The
+    mapping is rebuilt lazily whenever the file has grown past it.
     """
 
     def __init__(self, path: str, page_size: int = 1024,
@@ -142,18 +148,13 @@ class FilePageStore:
         self.path = path
         self.readonly = readonly
         self.use_mmap = use_mmap
-        if readonly:
-            # Per-worker handles of the parallel executor's process
-            # mode: each worker opens its own file descriptor on the
-            # shared page file, so concurrent readers never share seek
-            # state.
-            mode = "rb"
-        else:
-            mode = "r+b" if os.path.exists(path) else "w+b"
-        self._file = open(path, mode)
-        self._file.seek(0, os.SEEK_END)
-        size = self._file.tell()
+        # Read-only handles are the parallel executor's process-mode
+        # workers: each opens its own descriptor on the shared file.
+        flags = os.O_RDONLY if readonly else os.O_RDWR | os.O_CREAT
+        self._fd = os.open(path, flags, 0o666)
+        size = os.fstat(self._fd).st_size
         if size % page_size:
+            os.close(self._fd)
             raise ValueError(
                 f"{path} is {size} bytes, not a multiple of {page_size}"
             )
@@ -161,7 +162,6 @@ class FilePageStore:
         self._allocated = set(range(self._next_id))
         self._free: List[int] = []
         self._mmap: Optional[mmap.mmap] = None
-        self._unflushed = False
 
     def allocate(self) -> int:
         """Reserve a new page id, growing the file if none are free."""
@@ -171,9 +171,7 @@ class FilePageStore:
         else:
             page_id = self._next_id
             self._next_id += 1
-            self._file.seek(page_id * self.page_size)
-            self._file.write(b"\x00" * self.page_size)
-            self._unflushed = True
+            self._pwrite(b"\x00" * self.page_size, page_id * self.page_size)
         self._allocated.add(page_id)
         return page_id
 
@@ -190,23 +188,25 @@ class FilePageStore:
         if page_id in self._free:
             self._free.remove(page_id)
         if page_id >= self._next_id:
-            self._file.seek(self._next_id * self.page_size)
-            self._file.write(
-                b"\x00" * (page_id + 1 - self._next_id) * self.page_size
+            self._pwrite(
+                b"\x00" * (page_id + 1 - self._next_id) * self.page_size,
+                self._next_id * self.page_size,
             )
-            self._unflushed = True
             self._next_id = page_id + 1
         self._allocated.add(page_id)
 
     def read(self, page_id: int) -> bytes:
         """Return the page image, via the mapping when ``use_mmap``."""
         self._check(page_id)
+        start = page_id * self.page_size
+        end = start + self.page_size
         if self.use_mmap:
-            data = self._read_mmap(page_id)
-            if data is not None:
-                return data
-        self._file.seek(page_id * self.page_size)
-        data = self._file.read(self.page_size)
+            if self._mmap is None or end > len(self._mmap):
+                self._remap()  # the file grew past the mapping
+            if self._mmap is not None and end <= len(self._mmap):
+                return self._mmap[start:end]
+            # The file is genuinely shorter: the pread below raises.
+        data = os.pread(self._fd, self.page_size, start)
         if len(data) != self.page_size:
             # A truncated file (partial write, lost tail) must fail
             # loudly here, not as a confusing serializer error later.
@@ -217,33 +217,13 @@ class FilePageStore:
             )
         return data
 
-    def _read_mmap(self, page_id: int) -> Optional[bytes]:
-        """One-slice read through the mapping; None to fall back.
-
-        Buffered writes through ``self._file`` are flushed first so the
-        mapping (same file, unified page cache) observes them; the
-        mapping is remapped when the file has grown past its end.
-        """
-        if self._unflushed:
-            self._file.flush()
-            self._unflushed = False
-        start = page_id * self.page_size
-        end = start + self.page_size
-        if self._mmap is None or end > len(self._mmap):
-            self._remap()
-        if self._mmap is None or end > len(self._mmap):
-            return None  # file genuinely shorter: buffered path raises
-        return bytes(self._mmap[start:end])
-
     def _remap(self) -> None:
         if self._mmap is not None:
             self._mmap.close()
             self._mmap = None
-        size = os.fstat(self._file.fileno()).st_size
+        size = os.fstat(self._fd).st_size
         if size:
-            self._mmap = mmap.mmap(
-                self._file.fileno(), size, access=mmap.ACCESS_READ
-            )
+            self._mmap = mmap.mmap(self._fd, size, access=mmap.ACCESS_READ)
 
     def write(self, page_id: int, data: bytes) -> None:
         """Replace the page image (must be exactly ``page_size`` bytes)."""
@@ -253,9 +233,15 @@ class FilePageStore:
             raise ValueError(
                 f"page image of {len(data)} bytes; expected {self.page_size}"
             )
-        self._file.seek(page_id * self.page_size)
-        self._file.write(data)
-        self._unflushed = True
+        self._pwrite(data, page_id * self.page_size)
+
+    def _pwrite(self, data: bytes, offset: int) -> None:
+        """``os.pwrite`` until every byte is written (it may write fewer)."""
+        view = memoryview(data)
+        while view:
+            written = os.pwrite(self._fd, view, offset)
+            view = view[written:]
+            offset += written
 
     def free(self, page_id: int) -> None:
         """Release a page for reuse."""
@@ -276,16 +262,17 @@ class FilePageStore:
         return len(self._allocated)
 
     def flush(self) -> None:
-        """Flush buffered writes to the OS."""
-        self._file.flush()
-        self._unflushed = False
+        """No-op: :meth:`write` hands each page to the OS before it
+        returns.  Kept so callers can flush any store alike."""
 
     def close(self) -> None:
-        """Unmap (when mapped) and close the file handle."""
+        """Unmap (when mapped) and close the descriptor."""
         if self._mmap is not None:
             self._mmap.close()
             self._mmap = None
-        self._file.close()
+        if self._fd >= 0:
+            os.close(self._fd)
+            self._fd = -1
 
     def __enter__(self) -> "FilePageStore":
         return self

@@ -108,6 +108,20 @@ class TestParser:
         parsed = parse("SELECT CLOSEST PAIRS FROM us-east.parks, b")
         assert parsed.dataset_p == "us-east.parks"
 
+    def test_side_keywords_name_datasets_in_from(self):
+        # P and Q select sides only inside WHERE; in FROM they are the
+        # names of datasets, with their case kept.
+        parsed = parse(
+            "SELECT CLOSEST PAIRS K 2 FROM p, Q "
+            "WHERE COLORS MOD 2 P (1) Q (0) USING heap"
+        )
+        assert (parsed.dataset_p, parsed.dataset_q) == ("p", "Q")
+        assert parsed.pair_name == "p,Q"
+        assert parsed.colors == ColorSpec(
+            modulus=2, colors_p=(1,), colors_q=(0,), distinct=False
+        )
+        assert parse("SELECT CLOSEST PAIRS FROM q").dataset_q == "q"
+
 
 class TestErrors:
     @pytest.mark.parametrize(
@@ -119,6 +133,7 @@ class TestErrors:
             ("SELECT CLOSEST PAIRS K 0 FROM a", "K must be >= 1"),
             ("SELECT CLOSEST PAIRS FROM", "expected a dataset name"),
             ("SELECT CLOSEST PAIRS FROM SELECT", "expected a dataset"),
+            ("SELECT CLOSEST PAIRS FROM p, BOTH", "expected a dataset"),
             ("SELECT CLOSEST PAIRS FROM a, b WHERE", "RANGE or COLORS"),
             ("SELECT CLOSEST PAIRS FROM a WHERE RANGE (1, 2, 3)",
              "even number"),

@@ -14,6 +14,13 @@ contract at two levels:
   power operation itself differs between NumPy's array ``**`` and
   CPython's scalar ``pow`` by up to 1 ulp, so there the contract is
   ULP-level closeness, not bit equality;
+* tie-heavy kernel level -- coordinates on a coarse grid (equal gaps,
+  MINMINDIST = 0), zero-extent and identical boxes and one-row sides,
+  where every min/max selection in the kernels meets equal operands;
+  p = 3 is held to at most 1 ulp there;
+* tie keys -- the batched T1-T5 keys the traversal uses
+  (:meth:`TieBreak.keys` over :class:`CandidateBoxes`) equal the
+  per-candidate :meth:`TieCriterion.key` on the same tie-heavy boxes;
 * query level -- every algorithm on a SEQUOIA-like sample returns
   byte-identical ``CPQResult.pairs`` (distances, points, oids, i.e.
   tie-break order too) and identical work counters with the flag on
@@ -27,6 +34,12 @@ from hypothesis import strategies as st
 
 from repro.core import CPQRequest, k_closest_pairs
 from repro.core.api import CORE_ALGORITHMS as ALGORITHMS
+from repro.core.ties import (
+    TIE_CRITERIA,
+    CandidateBoxes,
+    CandidateGeometry,
+    TieBreak,
+)
 from repro.datasets import overlapping_workspace, sequoia_like
 from repro.datasets.workspace import UNIT_WORKSPACE
 from repro.geometry.mbr import MBR
@@ -130,6 +143,134 @@ def test_point_kernel_bitwise_equal(batches, metric):
             assert_matches(
                 matrix[i, j], metric.distance(tuple(a), tuple(b)), metric
             )
+
+
+# ---------------------------------------------------------------------------
+# Tie-heavy inputs: equal gaps, degenerate and repeated boxes.
+# ---------------------------------------------------------------------------
+
+#: Coarse grid coordinates: many equal gaps and touching boxes.
+grid_coord = st.integers(min_value=-4, max_value=4).map(lambda v: v * 0.25)
+
+
+def within_one_ulp(a, b):
+    return a == b or abs(a - b) <= np.spacing(max(abs(a), abs(b)))
+
+
+def assert_tie_heavy_match(vectorized, scalar, metric):
+    if metric in EXACT_METRICS:
+        assert vectorized == scalar
+    else:
+        assert within_one_ulp(vectorized, scalar), (vectorized, scalar)
+
+
+@st.composite
+def grid_side(draw, dimension, rows):
+    """``rows`` grid boxes; some zero-extent, some repeated."""
+    los, his = [], []
+    for __ in range(rows):
+        if los and draw(st.booleans()):
+            los.append(los[-1])  # an identical box
+            his.append(his[-1])
+            continue
+        a = [draw(grid_coord) for __ in range(dimension)]
+        if draw(st.booleans()):
+            b = a  # zero extent: a point
+        else:
+            b = [draw(grid_coord) for __ in range(dimension)]
+        los.append([min(x, y) for x, y in zip(a, b)])
+        his.append([max(x, y) for x, y in zip(a, b)])
+    return np.array(los), np.array(his)
+
+
+@st.composite
+def tie_heavy_sides(draw):
+    dimension = draw(dimensions)
+    side_a = draw(grid_side(dimension, draw(st.integers(1, 5))))
+    shape = draw(st.sampled_from(["independent", "identical", "one_row"]))
+    if shape == "identical":
+        side_b = (side_a[0].copy(), side_a[1].copy())
+    else:
+        rows = 1 if shape == "one_row" else draw(st.integers(1, 5))
+        side_b = draw(grid_side(dimension, rows))
+    if draw(st.booleans()):
+        side_a, side_b = side_b, side_a
+    return side_a, side_b
+
+
+@pytest.mark.parametrize(
+    "scalar_fn,vector_fn",
+    [
+        (mindist, pairwise_mindist),
+        (maxdist, pairwise_maxdist),
+        (minmaxdist, pairwise_minmaxdist),
+    ],
+    ids=["minmin", "maxmax", "minmax"],
+)
+@given(sides=tie_heavy_sides(), metric=metrics)
+@settings(max_examples=200, deadline=None)
+def test_rect_kernels_tie_heavy(scalar_fn, vector_fn, sides, metric):
+    (lo_a, hi_a), (lo_b, hi_b) = sides
+    matrix = vector_fn(lo_a, hi_a, lo_b, hi_b, metric)
+    assert matrix.shape == (len(lo_a), len(lo_b))
+    for i, a in enumerate(as_mbrs(lo_a, hi_a)):
+        for j, b in enumerate(as_mbrs(lo_b, hi_b)):
+            assert_tie_heavy_match(
+                matrix[i, j], scalar_fn(a, b, metric), metric
+            )
+
+
+@given(sides=tie_heavy_sides(), metric=metrics)
+@settings(max_examples=200, deadline=None)
+def test_point_kernel_tie_heavy(sides, metric):
+    # The low corners of the grid boxes, as point sets.
+    (points_a, __), (points_b, __) = sides
+    matrix = pairwise_point_distances(points_a, points_b, metric)
+    for i, a in enumerate(points_a):
+        for j, b in enumerate(points_b):
+            assert_tie_heavy_match(
+                matrix[i, j], metric.distance(tuple(a), tuple(b)), metric
+            )
+
+
+@given(
+    sides=tie_heavy_sides(),
+    root_areas=st.tuples(*[st.sampled_from([0.0, 0.75, 4.0])] * 2),
+    with_minmax=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_batched_tie_keys_match_per_candidate(
+    sides, root_areas, with_minmax, data
+):
+    (lo_p, hi_p), (lo_q, hi_q) = sides
+    # Any subset of the cross product, in any order, repeats allowed.
+    cells = [(i, j) for i in range(len(lo_p)) for j in range(len(lo_q))]
+    chosen = data.draw(st.lists(st.sampled_from(cells), max_size=12))
+    idx_p = np.array([i for i, __ in chosen], dtype=np.intp)
+    idx_q = np.array([j for __, j in chosen], dtype=np.intp)
+    minmax = (
+        pairwise_minmaxdist(lo_p, hi_p, lo_q, hi_q)[idx_p, idx_q]
+        if with_minmax else None
+    )
+    boxes = CandidateBoxes(
+        lo_p, hi_p, idx_p, lo_q, hi_q, idx_q, minmax=minmax,
+        root_area_p=root_areas[0], root_area_q=root_areas[1],
+    )
+    mbrs_p, mbrs_q = as_mbrs(lo_p, hi_p), as_mbrs(lo_q, hi_q)
+    oracle = [
+        CandidateGeometry(
+            mbr_p=mbrs_p[i], mbr_q=mbrs_q[j],
+            minmax=None if minmax is None else float(minmax[n]),
+            root_area_p=root_areas[0], root_area_q=root_areas[1],
+        )
+        for n, (i, j) in enumerate(chosen)
+    ]
+    for name, criterion in TIE_CRITERIA.items():
+        batched = criterion.keys(boxes).tolist()
+        assert batched == [criterion.key(c) for c in oracle], name
+    chain = TieBreak.parse(["T5", "T3", "T1", "T4", "T2"])
+    assert chain.keys(boxes) == [chain.key(c) for c in oracle]
 
 
 # ---------------------------------------------------------------------------

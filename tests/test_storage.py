@@ -253,3 +253,59 @@ class TestMmapReadPath:
             pid = store.allocate()
             store.write(pid, b"\x0f" * 1024)
             assert store.read(pid) == b"\x0f" * 1024
+
+
+class TestConcurrentReadWrite:
+    def test_reads_are_not_disturbed_by_a_concurrent_writer(self, tmp_path):
+        # One thread rewrites its own pages while others read pages
+        # nobody writes.  Every read must return exactly the page's
+        # image: a shared file position would let a writer's seek land
+        # between a reader's seek and read (a short or misplaced read).
+        import sys
+        import threading
+
+        size = 256
+        store = FilePageStore(str(tmp_path / "race.pages"), page_size=size)
+        stable = {}
+        for i in range(8):
+            pid = store.allocate()
+            stable[pid] = bytes([i + 1]) * size
+            store.write(pid, stable[pid])
+        churn = [store.allocate() for __ in range(8)]
+        stop = threading.Event()
+        errors = []
+
+        def writer():
+            n = 0
+            while not stop.is_set():
+                n += 1
+                for pid in churn:
+                    store.write(pid, bytes([n % 251]) * size)
+
+        def reader():
+            try:
+                for __ in range(3000):
+                    for pid, image in stable.items():
+                        if store.read(pid) != image:
+                            errors.append(pid)
+                            return
+            except Exception as exc:  # noqa: BLE001 - any failure counts
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader) for __ in range(3)]
+            write_thread = threading.Thread(target=writer)
+            write_thread.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            stop.set()
+            write_thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads + [write_thread])
+        store.close()
+        assert errors == []
