@@ -264,17 +264,12 @@ def estimate_closest_pair_distance(
 #: kernel, in nanoseconds (``benchmarks/bench_kernels.py``, M = 21
 #: nodes, d = 2, Euclidean; re-run it after kernel changes and update
 #: these).  Keys are the :data:`repro.geometry.vectorized.KERNEL_STATS`
-#: kernel names: the NumPy batch kernels plus the engine's ``*_scalar``
-#: fallbacks.
+#: kernel names.
 KERNEL_NS_PER_PAIR = {
     "minmin": 35.0,
     "minmax": 127.0,
     "maxmax": 54.0,
     "points": 23.0,
-    "minmin_scalar": 1940.0,
-    "minmax_scalar": 10980.0,
-    "maxmax_scalar": 2120.0,
-    "points_scalar": 3280.0,
 }
 
 

@@ -381,7 +381,6 @@ def cmd_query(args: argparse.Namespace) -> int:
             k=args.k,
             algorithm=args.algorithm,
             buffer_pages=args.buffer,
-            use_vectorized=not args.scalar,
             workers=args.workers,
             range=range_spec,
             colors=color_spec,
@@ -535,53 +534,19 @@ def cmd_join(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_service_request(obj: dict, default_pair: str = "default"):
-    """Decode one JSONL request object into a service request."""
-    from repro.service import CPQRequest, KNNRequest, RangeRequest
+def _decode_jsonl_request(line: str, default_pair: str):
+    """Decode one ``batch``/``serve`` line: a wire request envelope
+    (:func:`repro.net.wire.decode_request`) whose ``v`` and ``pair``
+    may be omitted."""
+    from repro.net.wire import WIRE_VERSION, SQLRequest, decode_request
 
-    op = obj.get("op", "cpq")
-    common = {
-        "pair": obj.get("pair", default_pair),
-        "deadline_ms": obj.get("deadline_ms"),
-        "use_cache": bool(obj.get("use_cache", True)),
-    }
-    if op == "cpq":
-        range_obj = obj.get("range")
-        if isinstance(range_obj, dict):
-            from repro.core.constraints import RangeSpec
-
-            range_obj = RangeSpec(
-                lo=tuple(range_obj["lo"]), hi=tuple(range_obj["hi"]),
-                mode=range_obj.get("mode", "both"),
-            )
-        elif range_obj is not None:
-            # [[lo...], [hi...]] shorthand; the request normalises it.
-            range_obj = (tuple(range_obj[0]), tuple(range_obj[1]))
-        return CPQRequest(
-            k=int(obj.get("k", 1)),
-            algorithm=obj.get("algorithm", "auto"),
-            tie_break=obj.get("tie_break"),
-            maxmax_pruning=bool(obj.get("maxmax_pruning", True)),
-            use_vectorized=bool(obj.get("use_vectorized", True)),
-            range=range_obj,
-            colors=obj.get("colors"),
-            **common,
-        )
-    if op == "knn":
-        return KNNRequest(
-            point=tuple(obj["point"]),
-            k=int(obj.get("k", 1)),
-            side=obj.get("side", "p"),
-            **common,
-        )
-    if op == "range":
-        return RangeRequest(
-            lo=tuple(obj["lo"]),
-            hi=tuple(obj["hi"]),
-            side=obj.get("side", "p"),
-            **common,
-        )
-    raise ValueError(f"unknown op {op!r}; expected cpq, knn or range")
+    obj = json.loads(line)
+    if isinstance(obj, dict):
+        obj = {"v": WIRE_VERSION, "pair": default_pair, **obj}
+    request = decode_request(obj)
+    if isinstance(request, SQLRequest):
+        raise ValueError("op 'sql' needs a catalog; use the sql command")
+    return request
 
 
 def _response_json(response) -> dict:
@@ -675,7 +640,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
             with open(args.requests) as handle:
                 lines = handle.read().splitlines()
         requests = [
-            _parse_service_request(json.loads(line), args.pair)
+            _decode_jsonl_request(line, args.pair)
             for line in lines
             if line.strip()
         ]
@@ -710,8 +675,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             if not line.strip():
                 continue
             try:
-                request = _parse_service_request(json.loads(line), args.pair)
-            except (ValueError, KeyError) as exc:
+                request = _decode_jsonl_request(line, args.pair)
+            except ValueError as exc:
                 print(json.dumps({"status": "error",
                                   "error": f"bad request: {exc}"}),
                       flush=True)
@@ -1591,9 +1556,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--algorithm", choices=ALGORITHMS, default="heap")
     query.add_argument("--buffer", type=int, default=0,
                        help="total LRU buffer pages (B/2 per tree)")
-    query.add_argument("--scalar", action="store_true",
-                       help="use the scalar (non-vectorized) expansion "
-                            "path; results are identical")
     query.add_argument("--workers", type=int, default=1,
                        help="intra-query worker threads (partitioned "
                             "executor); results are byte-identical")

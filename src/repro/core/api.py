@@ -53,7 +53,6 @@ from repro.core.heap import heap_algorithm
 from repro.core.height import FIX_AT_ROOT, validate_strategy
 from repro.core.naive import naive
 from repro.core.parallel import (
-    PARALLEL_MODES,
     PARTITION_DEPTHS,
     parallel_k_closest_pairs,
 )
@@ -125,20 +124,15 @@ class AlgorithmSpec:
 
 
 def _run_naive(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
-    return naive(ctx, request.height_strategy, request.use_vectorized)
+    return naive(ctx, request.height_strategy)
 
 
 def _run_exh(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
-    return exhaustive(ctx, request.height_strategy, request.use_vectorized)
+    return exhaustive(ctx, request.height_strategy)
 
 
 def _run_sim(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
-    return simple(
-        ctx,
-        request.height_strategy,
-        request.maxmax_pruning,
-        request.use_vectorized,
-    )
+    return simple(ctx, request.height_strategy, request.maxmax_pruning)
 
 
 def _run_std(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
@@ -147,7 +141,6 @@ def _run_std(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
         request.height_strategy,
         request.tie_break,
         request.maxmax_pruning,
-        request.use_vectorized,
     )
 
 
@@ -157,7 +150,6 @@ def _run_heap(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
         request.height_strategy,
         request.tie_break,
         request.maxmax_pruning,
-        request.use_vectorized,
     )
 
 
@@ -167,7 +159,6 @@ def _run_clipped(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
         request.height_strategy,
         request.tie_break,
         request.maxmax_pruning,
-        request.use_vectorized,
         clip_mindist=True,
     )
     return replace(result, algorithm="CLIPPED")
@@ -424,10 +415,9 @@ class CPQRequest:
     ``workers`` > 1 routes algorithms with ``supports_parallel``
     through the partitioned executor (:mod:`repro.core.parallel`):
     ``partition_depth`` levels of root expansion feed ``workers``
-    threads (or spawned processes with ``parallel_mode="process"``,
-    which requires file-backed trees).  These are execution-only knobs
-    -- the result is byte-identical to serial -- so they are excluded
-    from :meth:`cache_key`.
+    threads.  These are execution-only knobs -- the result is
+    byte-identical to serial -- so they are excluded from
+    :meth:`cache_key`.
 
     ``range`` restricts reported pairs to a window
     (:class:`~repro.core.constraints.RangeSpec`; a bare ``(lo, hi)``
@@ -446,13 +436,11 @@ class CPQRequest:
     tie_break: Optional[TieBreak] = None
     buffer_pages: Optional[int] = None
     maxmax_pruning: bool = True
-    use_vectorized: bool = True
     deadline_ms: Optional[float] = None
     trace: bool = False
     reset_stats: bool = True
     workers: int = 1
     partition_depth: int = 1
-    parallel_mode: str = "thread"
     range: Optional[RangeSpec] = None
     colors: Optional[ColorSpec] = None
 
@@ -494,11 +482,6 @@ class CPQRequest:
             raise ValueError(
                 f"partition_depth must be one of {PARTITION_DEPTHS}"
             )
-        if self.parallel_mode not in PARALLEL_MODES:
-            raise ValueError(
-                f"unknown parallel_mode {self.parallel_mode!r}; "
-                f"expected one of {PARALLEL_MODES}"
-            )
         validate_strategy(self.height_strategy)
         if self.tie_break is not None:
             object.__setattr__(self, "tie_break", TieBreak.parse(self.tie_break))
@@ -514,10 +497,8 @@ class CPQRequest:
         Two requests with equal keys return identical pairs on the same
         tree generations: fields that only change *how* the answer is
         computed (buffers, deadline, tracing, stats, and the parallel
-        execution knobs ``workers`` / ``partition_depth`` /
-        ``parallel_mode``) are excluded; ``use_vectorized`` is excluded
-        too because the scalar path is bit-identical by construction
-        (and tested to be).  Constraints contribute their *canonical*
+        execution knobs ``workers`` / ``partition_depth``) are
+        excluded.  Constraints contribute their *canonical*
         forms -- corners sorted and floats normalised at construction
         -- so a window given as ``(hi, lo)`` hits the cache entry of
         the same window given as ``(lo, hi)``.

@@ -26,10 +26,10 @@ nothing extra on the wire.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.geometry.mbr import MBR
 
 #: Which side(s) of the pair the window restricts.
 RANGE_MODES = ("both", "p", "q")
@@ -49,6 +49,8 @@ class RangeSpec:
     ``"p"`` / ``"q"`` constrain only that side (the other endpoint may
     lie anywhere).  Corners are canonicalised per dimension, so
     ``RangeSpec((4, 4), (0, 0)) == RangeSpec((0, 0), (4, 4))``.
+    Every coordinate must be finite: a NaN corner admits no point, so
+    the query would traverse the trees and silently return nothing.
     """
 
     lo: Tuple[float, ...]
@@ -62,6 +64,8 @@ class RangeSpec:
             raise ValueError("range lo and hi must have the same dimension")
         if not lo:
             raise ValueError("range must have at least one dimension")
+        if not all(map(math.isfinite, lo + hi)):
+            raise ValueError(f"range corners must be finite, got {lo}, {hi}")
         object.__setattr__(
             self, "lo", tuple(min(a, b) for a, b in zip(lo, hi))
         )
@@ -85,10 +89,6 @@ class RangeSpec:
     @property
     def constrains_q(self) -> bool:
         return self.mode in ("both", "q")
-
-    def mbr(self) -> MBR:
-        """The window as an :class:`~repro.geometry.mbr.MBR`."""
-        return MBR(self.lo, self.hi)
 
     def contains_point(self, point) -> bool:
         return all(

@@ -39,10 +39,8 @@ from repro.core.height import (
 from repro.core.kheap import KHeap
 from repro.core.result import ClosestPair, CPQResult
 from repro.core.ties import CandidateBoxes, TieBreak
-from repro.geometry import metrics as scalar_metrics
 from repro.geometry.minkowski import EUCLIDEAN, MinkowskiMetric
 from repro.geometry.vectorized import (
-    KERNEL_STATS,
     pairwise_maxdist,
     pairwise_mindist,
     pairwise_minmaxdist,
@@ -73,12 +71,6 @@ class CPQOptions:
     #: For K > 1: use the MAXMAXDIST accumulation bound (the paper's
     #: "alternative, although more complicated, modification").
     maxmax_k_pruning: bool = True
-    #: Evaluate node expansions through the NumPy pairwise kernels
-    #: (:mod:`repro.geometry.vectorized`).  The scalar path computes the
-    #: same matrices entry-by-entry via :mod:`repro.geometry.metrics`
-    #: with bit-identical arithmetic, and exists for parity testing and
-    #: as the microbenchmark baseline.
-    use_vectorized: bool = True
     #: For range-constrained queries: evaluate MINMINDIST on the
     #: intersection of each constrained-side MBR with the query window
     #: instead of the raw MBR (the CLIPPED algorithm).  A clipped box
@@ -130,7 +122,6 @@ class CPQContext:
                 )
             self._range_lo = np.array(range_spec.lo, dtype=float)
             self._range_hi = np.array(range_spec.hi, dtype=float)
-            self._range_mbr = range_spec.mbr()
         #: Cooperative cancellation: called once per visited node pair;
         #: raising from it (e.g. a service deadline) aborts the
         #: traversal, leaving trees and buffers consistent.
@@ -304,18 +295,6 @@ def traced_traversal(ctx: CPQContext, algorithm: str, **attrs):
 # Leaf-pair scanning (step CP3)
 # ---------------------------------------------------------------------------
 
-def _scalar_point_distances(leaf_p: Node, leaf_q: Node, metric) -> np.ndarray:
-    out = np.array(
-        [
-            [metric.distance(a.point, b.point) for b in leaf_q.entries]
-            for a in leaf_p.entries
-        ],
-        dtype=np.float64,
-    )
-    KERNEL_STATS.record("points_scalar", out.size)
-    return out
-
-
 def _qualifying_mask(
     ctx: CPQContext, leaf_p: Node, leaf_q: Node
 ) -> np.ndarray:
@@ -361,12 +340,7 @@ def _qualifying_mask(
     return mask
 
 
-def scan_leaf_pair(
-    ctx: CPQContext,
-    leaf_p: Node,
-    leaf_q: Node,
-    options: Optional[CPQOptions] = None,
-) -> None:
+def scan_leaf_pair(ctx: CPQContext, leaf_p: Node, leaf_q: Node) -> None:
     """Compute all point-pair distances of two leaves and update the
     K-heap (step CP3 of every algorithm).
 
@@ -375,12 +349,9 @@ def scan_leaf_pair(
     selection itself, not just inflate distances: while T is still
     infinite, ``inf <= inf`` would admit a masked pair.)
     """
-    if options is None or options.use_vectorized:
-        distances = pairwise_point_distances(
-            leaf_p.points_array(), leaf_q.points_array(), ctx.metric
-        )
-    else:
-        distances = _scalar_point_distances(leaf_p, leaf_q, ctx.metric)
+    distances = pairwise_point_distances(
+        leaf_p.points_array(), leaf_q.points_array(), ctx.metric
+    )
     ctx.stats.distance_computations += distances.size
     mask = _qualifying_mask(ctx, leaf_p, leaf_q) if ctx.constrained else None
     if ctx.k == 1:
@@ -491,14 +462,8 @@ def _child_pages(node: Node, expand: bool, idx: np.ndarray) -> List[int]:
     return [entries[i].child_id for i in idx.tolist()]
 
 
-def _side_mbrs(node: Node, expand: bool):
-    if expand:
-        return [e.mbr for e in node.entries]
-    return [node.mbr()]
-
-
 def _clip_side_arrays(ctx: CPQContext, lo, hi, constrained: bool):
-    """Clip one side's boxes against the query window (vectorized path).
+    """Clip one side's boxes against the query window.
 
     Returns ``(lo', hi', infeasible)`` where ``infeasible`` flags boxes
     disjoint from the window -- no qualifying point can lie below them.
@@ -512,35 +477,6 @@ def _clip_side_arrays(ctx: CPQContext, lo, hi, constrained: bool):
     clipped_hi = np.minimum(hi, ctx._range_hi)
     infeasible = np.any(clipped_lo > clipped_hi, axis=1)
     return clipped_lo, clipped_hi, infeasible
-
-
-def _clip_side_mbrs(ctx: CPQContext, mbrs, constrained: bool):
-    """Scalar twin of :func:`_clip_side_arrays` over MBR objects.
-
-    :meth:`MBR.intersection` uses the same ``max`` / ``min`` float
-    operations as ``np.maximum`` / ``np.minimum``, preserving the
-    scalar/vectorized bit-parity contract through the clip.  Disjoint
-    boxes keep their original MBR as a placeholder (their distances are
-    masked out by the infeasible flag).
-    """
-    if not constrained:
-        return mbrs, [False] * len(mbrs)
-    clipped, infeasible = [], []
-    for box in mbrs:
-        overlap = box.intersection(ctx._range_mbr)
-        clipped.append(box if overlap is None else overlap)
-        infeasible.append(overlap is None)
-    return clipped, infeasible
-
-
-def _scalar_matrix(fn, name: str, mbrs_p, mbrs_q, metric) -> np.ndarray:
-    """Entry-by-entry pairwise metric matrix for the scalar path."""
-    out = np.array(
-        [[fn(a, b, metric) for b in mbrs_q] for a in mbrs_p],
-        dtype=np.float64,
-    )
-    KERNEL_STATS.record(name, out.size)
-    return out
 
 
 def _guaranteed_points(tree: RTree, node: Node, expanded: bool) -> np.ndarray:
@@ -599,46 +535,22 @@ def generate_candidates(
     expand_q = side in (EXPAND_BOTH, EXPAND_Q)
     spec = ctx.range_spec if ctx.constrained else None
     infeasible = None
-    if options.use_vectorized:
-        lo_p, hi_p = _side_arrays(node_p, expand_p)
-        lo_q, hi_q = _side_arrays(node_q, expand_q)
-        if spec is not None and options.prune:
-            clip_lo_p, clip_hi_p, bad_p = _clip_side_arrays(
-                ctx, lo_p, hi_p, spec.constrains_p
-            )
-            clip_lo_q, clip_hi_q, bad_q = _clip_side_arrays(
-                ctx, lo_q, hi_q, spec.constrains_q
-            )
-            infeasible = bad_p[:, None] | bad_q[None, :]
-            if options.clip_mindist:
-                minmin = pairwise_mindist(
-                    clip_lo_p, clip_hi_p, clip_lo_q, clip_hi_q, ctx.metric
-                )
-            else:
-                minmin = pairwise_mindist(lo_p, hi_p, lo_q, hi_q, ctx.metric)
-        else:
-            minmin = pairwise_mindist(lo_p, hi_p, lo_q, hi_q, ctx.metric)
-    else:
-        mbrs_p = _side_mbrs(node_p, expand_p)
-        mbrs_q = _side_mbrs(node_q, expand_q)
-        if spec is not None and options.prune:
-            clip_p, bad_p = _clip_side_mbrs(ctx, mbrs_p, spec.constrains_p)
-            clip_q, bad_q = _clip_side_mbrs(ctx, mbrs_q, spec.constrains_q)
-            infeasible = (
-                np.array(bad_p, dtype=bool)[:, None]
-                | np.array(bad_q, dtype=bool)[None, :]
-            )
-            use_p = clip_p if options.clip_mindist else mbrs_p
-            use_q = clip_q if options.clip_mindist else mbrs_q
-            minmin = _scalar_matrix(
-                scalar_metrics.mindist, "minmin_scalar", use_p, use_q,
-                ctx.metric,
-            )
-        else:
-            minmin = _scalar_matrix(
-                scalar_metrics.mindist, "minmin_scalar", mbrs_p, mbrs_q,
-                ctx.metric,
-            )
+    lo_p, hi_p = _side_arrays(node_p, expand_p)
+    lo_q, hi_q = _side_arrays(node_q, expand_q)
+    # Boxes MINMINDIST is evaluated on: raw, or window-clipped (CLIPPED).
+    boxes_p, boxes_q = (lo_p, hi_p), (lo_q, hi_q)
+    if spec is not None and options.prune:
+        clip_lo_p, clip_hi_p, bad_p = _clip_side_arrays(
+            ctx, lo_p, hi_p, spec.constrains_p
+        )
+        clip_lo_q, clip_hi_q, bad_q = _clip_side_arrays(
+            ctx, lo_q, hi_q, spec.constrains_q
+        )
+        infeasible = bad_p[:, None] | bad_q[None, :]
+        if options.clip_mindist:
+            boxes_p = (clip_lo_p, clip_hi_p)
+            boxes_q = (clip_lo_q, clip_hi_q)
+    minmin = pairwise_mindist(*boxes_p, *boxes_q, ctx.metric)
     minmax_matrix = None
     # Constrained queries must not tighten T from MINMAXDIST /
     # MAXMAXDIST: the point pair those bounds guarantee may lie outside
@@ -647,31 +559,11 @@ def generate_candidates(
     # answers.  Only the K-heap threshold (built from qualifying pairs)
     # tightens T; MINMINDIST pruning below stays valid unchanged.
     if options.update_bound and not ctx.constrained:
-        if options.use_vectorized:
-            minmax_matrix = pairwise_minmaxdist(
-                lo_p, hi_p, lo_q, hi_q, ctx.metric
-            )
-        else:
-            minmax_matrix = _scalar_matrix(
-                scalar_metrics.minmaxdist,
-                "minmax_scalar",
-                mbrs_p,
-                mbrs_q,
-                ctx.metric,
-            )
+        minmax_matrix = pairwise_minmaxdist(lo_p, hi_p, lo_q, hi_q, ctx.metric)
         if ctx.k == 1:
             ctx.update_bound(float(minmax_matrix.min()))
         elif options.maxmax_k_pruning:
-            if options.use_vectorized:
-                maxmax = pairwise_maxdist(lo_p, hi_p, lo_q, hi_q, ctx.metric)
-            else:
-                maxmax = _scalar_matrix(
-                    scalar_metrics.maxdist,
-                    "maxmax_scalar",
-                    mbrs_p,
-                    mbrs_q,
-                    ctx.metric,
-                )
+            maxmax = pairwise_maxdist(lo_p, hi_p, lo_q, hi_q, ctx.metric)
             counts = (
                 _guaranteed_points(ctx.tree_p, node_p, expand_p)[:, None]
                 * _guaranteed_points(ctx.tree_q, node_q, expand_q)[None, :]
@@ -780,7 +672,7 @@ def _visit(
     ctx.check_cancelled()
     ctx.stats.node_pairs_visited += 1
     if node_p.is_leaf and node_q.is_leaf:
-        scan_leaf_pair(ctx, node_p, node_q, options)
+        scan_leaf_pair(ctx, node_p, node_q)
         return
     candidates = generate_candidates(ctx, node_p, node_q, options)
     order = order_candidates(ctx, candidates, options)

@@ -17,11 +17,12 @@ Execution plan
    kernel :func:`repro.geometry.vectorized.batch_mindist_argsort` --
    closest work first, so the global bound tightens fastest.
 2. **Fan out**: thread workers pull tasks from a shared cursor
-   (dynamic load balancing); the opt-in process mode ships static
-   round-robin chunks of page-id pairs to spawned workers that reopen
-   the trees through read-only :class:`FilePageStore` handles.
-3. **Bound sharing** (thread mode): workers periodically publish their
-   K-heap snapshot and metric bound to a lock-guarded
+   (dynamic load balancing).  Threads share the trees and their
+   buffers, so simulated read latency overlaps across workers;
+   multi-process execution is the job of the sharded network tier
+   (:class:`repro.net.ShardManager`), not of this executor.
+3. **Bound sharing**: workers periodically publish their K-heap
+   snapshot and metric bound to a lock-guarded
    :class:`SharedBound`; ``z`` is the K-th smallest distance over the
    merged snapshots (disjoint partitions -- no pair is ever counted
    twice, keeping z conservative).  Tasks whose MINMINDIST exceeds z
@@ -35,11 +36,11 @@ Execution plan
 
 Determinism
 -----------
-Every executor -- serial, threaded, process-chunked, any refresh
-cadence -- maintains ``t >= d_K`` (the true K-th smallest distance):
-the K-heap threshold is the K-th best of a *subset* of pairs, and the
-metric bounds are upper bounds on ``d_K`` by construction (Section
-3.8).  Pruning is strict (``> t``), so every pair with ``d <= d_K`` is
+Both executors -- serial and threaded, at any refresh cadence --
+maintain ``t >= d_K`` (the true K-th smallest distance): the K-heap
+threshold is the K-th best of a *subset* of pairs, and the metric
+bounds are upper bounds on ``d_K`` by construction (Section 3.8).
+Pruning is strict (``> t``), so every pair with ``d <= d_K`` is
 offered everywhere; the canonical K-heap then retains exactly the K
 canonically-smallest pairs of the universe, regardless of discovery
 order.  See ``docs/ARCHITECTURE.md`` ("Parallel execution").
@@ -64,14 +65,9 @@ from repro.core.result import ClosestPair, CPQResult
 from repro.geometry.vectorized import batch_mindist_argsort
 from repro.rtree.node import Node
 from repro.rtree.tree import RTree
-from repro.storage.paged_file import PagedFile
-from repro.storage.store import FilePageStore
 
 #: Supported partition depths (levels of root expansion).
 PARTITION_DEPTHS = (1, 2)
-
-#: Worker pool flavours.
-PARALLEL_MODES = ("thread", "process")
 
 #: Node-pair visits between bound refreshes inside a worker's task.
 DEFAULT_REFRESH_INTERVAL = 32
@@ -185,7 +181,6 @@ def partition_tasks(ctx: CPQContext, request) -> List[PartitionTask]:
         sort=False,
         height_strategy=request.height_strategy,
         maxmax_k_pruning=request.maxmax_pruning,
-        use_vectorized=request.use_vectorized,
         clip_mindist=policy.get("clip_mindist", False),
     )
     frontier: List[Tuple[Node, Node]] = [(ctx.root_p, ctx.root_q)]
@@ -219,7 +214,7 @@ def partition_tasks(ctx: CPQContext, request) -> List[PartitionTask]:
 
 
 # ---------------------------------------------------------------------------
-# Thread mode
+# Thread workers
 # ---------------------------------------------------------------------------
 
 def _thread_worker(
@@ -232,7 +227,6 @@ def _thread_worker(
     shared: SharedBound,
     stop: threading.Event,
     base_probe: Optional[Callable[[], None]],
-    refresh_interval: int,
 ) -> WorkerReport:
     runner = request.spec.runner
     wctx = CPQContext(
@@ -256,7 +250,7 @@ def _thread_worker(
         if base_probe is not None:
             base_probe()
         visits += 1
-        if visits % refresh_interval == 0:
+        if visits % DEFAULT_REFRESH_INTERVAL == 0:
             report.publishes += 1
             wctx.update_bound(
                 shared.publish(
@@ -303,10 +297,7 @@ def _thread_worker(
 
 
 def _run_threads(
-    ctx: CPQContext,
-    request,
-    tasks: List[PartitionTask],
-    refresh_interval: int,
+    ctx: CPQContext, request, tasks: List[PartitionTask]
 ) -> List[WorkerReport]:
     from concurrent.futures import ThreadPoolExecutor
 
@@ -331,136 +322,11 @@ def _run_threads(
                 shared,
                 stop,
                 base_probe,
-                refresh_interval,
             )
             for wid in range(n)
         ]
         reports = [future.result() for future in futures]
     ctx.stats.extra.setdefault("parallel", {})["publishes"] = shared.publishes
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# Process mode (opt-in)
-# ---------------------------------------------------------------------------
-
-def _open_worker_tree(payload: dict, side: str) -> RTree:
-    path, page_size = payload[f"store_{side}"]
-    store = FilePageStore(path, page_size, readonly=True)
-    file = PagedFile(
-        store,
-        buffer_capacity=payload[f"buffer_{side}"],
-        page_size=page_size,
-        read_latency=payload[f"latency_{side}"],
-    )
-    return RTree.from_storage(file, payload[f"meta_{side}"])
-
-
-def _process_worker(payload: dict) -> dict:
-    """Run one chunk of tasks in a spawned process.
-
-    Reopens both trees through fresh read-only file handles, runs the
-    serial algorithm per task with the coordinator's partition-time
-    bound as the initial z (no cross-process refresh), and returns
-    pairs plus counters.  Module-level so it pickles by reference.
-    """
-    request = payload["request"]
-    tree_p = _open_worker_tree(payload, "p")
-    tree_q = _open_worker_tree(payload, "q")
-    ctx = CPQContext(
-        tree_p, tree_q, request.k, request.metric,
-        range_spec=request.range, color_spec=request.colors,
-    )
-    ctx.bound = payload["initial_bound"]
-    if request.deadline_ms is not None:
-        from repro.core.api import _deadline_probe
-
-        ctx.cancel_check = _deadline_probe(request.deadline_ms)
-    runner = request.spec.runner
-    completed = 0
-    for page_p, page_q, minmin in payload["tasks"]:
-        if minmin > ctx.t:
-            break  # chunk is ascending: the rest are no better
-        ctx.root_p = tree_p.read_node(page_p)
-        ctx.root_q = tree_q.read_node(page_q)
-        runner(ctx, request)
-        completed += 1
-    return {
-        "pairs": ctx.kheap.sorted_pairs(),
-        "tasks_completed": completed,
-        "node_pairs_visited": ctx.stats.node_pairs_visited,
-        "distance_computations": ctx.stats.distance_computations,
-        "queue_inserts": ctx.stats.queue_inserts,
-        "max_queue_size": ctx.stats.max_queue_size,
-        "disk_reads": tree_p.stats.disk_reads + tree_q.stats.disk_reads,
-        "buffer_hits": tree_p.stats.buffer_hits + tree_q.stats.buffer_hits,
-    }
-
-
-def _run_process(
-    ctx: CPQContext, request, tasks: List[PartitionTask]
-) -> List[WorkerReport]:
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    payload_base = {}
-    for side, tree in (("p", ctx.tree_p), ("q", ctx.tree_q)):
-        store = tree.file.store
-        if not isinstance(store, FilePageStore):
-            raise ValueError(
-                "parallel_mode='process' requires file-backed trees "
-                "(FilePageStore); in-memory trees cannot be reopened "
-                "by worker processes"
-            )
-        store.flush()  # workers read through their own descriptors
-        payload_base[f"store_{side}"] = (store.path, store.page_size)
-        payload_base[f"meta_{side}"] = tree.metadata()
-        payload_base[f"buffer_{side}"] = tree.file.buffer.capacity
-        payload_base[f"latency_{side}"] = tree.file.read_latency
-    payload_base["request"] = request
-    payload_base["initial_bound"] = ctx.bound
-
-    n = max(1, min(request.workers, len(tasks)))
-    chunks = [tasks[i::n] for i in range(n)]  # round-robin, stays sorted
-    payloads = [
-        dict(
-            payload_base,
-            tasks=[
-                (t.node_p.page_id, t.node_q.page_id, t.minmin)
-                for t in chunk
-            ],
-        )
-        for chunk in chunks
-        if chunk
-    ]
-    with ProcessPoolExecutor(
-        max_workers=len(payloads),
-        mp_context=multiprocessing.get_context("spawn"),
-    ) as pool:
-        raw = list(pool.map(_process_worker, payloads))
-    reports = []
-    child_disk = child_hits = 0
-    for wid, r in enumerate(raw):
-        reports.append(
-            WorkerReport(
-                worker_id=wid,
-                pairs=r["pairs"],
-                tasks_completed=r["tasks_completed"],
-                node_pairs_visited=r["node_pairs_visited"],
-                distance_computations=r["distance_computations"],
-                queue_inserts=r["queue_inserts"],
-                max_queue_size=r["max_queue_size"],
-            )
-        )
-        child_disk += r["disk_reads"]
-        child_hits += r["buffer_hits"]
-    # Children count their own I/O; fold it into the query stats (the
-    # coordinator's tree counters only saw the partitioning reads).
-    ctx.stats.disk_accesses += child_disk
-    ctx.stats.buffer_hits += child_hits
-    ctx.stats.extra.setdefault("parallel", {})["child_io"] = {
-        "disk_reads": child_disk, "buffer_hits": child_hits,
-    }
     return reports
 
 
@@ -475,7 +341,6 @@ def parallel_k_closest_pairs(
     *,
     cancel_check: Optional[Callable[[], None]] = None,
     tracer=None,
-    refresh_interval: int = DEFAULT_REFRESH_INTERVAL,
 ) -> CPQResult:
     """Run one K-CPQ with ``request.workers`` parallel workers.
 
@@ -503,14 +368,10 @@ def parallel_k_closest_pairs(
         ctx,
         spec.label,
         workers=request.workers,
-        parallel_mode=request.parallel_mode,
         partition_depth=request.partition_depth,
     ):
         tasks = partition_tasks(ctx, request)
-        if request.parallel_mode == "process":
-            reports = _run_process(ctx, request, tasks)
-        else:
-            reports = _run_threads(ctx, request, tasks, refresh_interval)
+        reports = _run_threads(ctx, request, tasks)
         for report in reports:
             for pair in report.pairs:
                 ctx.kheap.offer(pair)
@@ -523,7 +384,7 @@ def parallel_k_closest_pairs(
         completed = sum(r.tasks_completed for r in reports)
         info = ctx.stats.extra.setdefault("parallel", {})
         info.update(
-            mode=request.parallel_mode,
+            mode="thread",
             workers=len(reports),
             partition_depth=request.partition_depth,
             tasks=len(tasks),

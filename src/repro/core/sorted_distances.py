@@ -26,7 +26,6 @@ def sorted_distances(
     height_strategy: str = FIX_AT_ROOT,
     tie_break: Optional[TieBreak] = None,
     maxmax_pruning: bool = True,
-    use_vectorized: bool = True,
 ) -> CPQResult:
     """Run the Sorted Distances algorithm on a prepared query context.
 
@@ -40,7 +39,6 @@ def sorted_distances(
         tie_break=tie_break if tie_break is not None else DEFAULT_TIE_BREAK,
         height_strategy=height_strategy,
         maxmax_k_pruning=maxmax_pruning,
-        use_vectorized=use_vectorized,
     )
     return run_recursive(
         ctx, options, NAME,

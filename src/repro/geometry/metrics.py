@@ -86,8 +86,8 @@ def minmaxdist(a: MBR, b: MBR, metric: MinkowskiMetric = EUCLIDEAN) -> float:
     same four absolute bound gaps per dimension and summed in the same
     order.  The kernel takes the minimum over ``l != j`` before adding
     it, which rounding (monotone) cannot tell apart from the minimum
-    over all ``(j, l)`` sums below, so the scalar and vectorized engine
-    paths produce bit-identical values; the Chebyshev metric keeps the
+    over all ``(j, l)`` sums below, so this oracle and the kernel
+    produce bit-identical values; the Chebyshev metric keeps the
     literal face enumeration (as does the kernel).
     """
     p = metric.p

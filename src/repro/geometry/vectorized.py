@@ -55,10 +55,9 @@ class KernelStats:
     """Process-wide tally of pairwise-kernel invocations.
 
     Tracks, per kernel name, how many times it ran and how many entry
-    pairs it evaluated.  The scalar engine path records under
-    ``*_scalar`` names so the two implementations can be compared from
-    one service metrics snapshot (``snapshot()["kernels"]``) and the
-    cost model recalibrated against real pair counts.
+    pairs it evaluated, so one service metrics snapshot
+    (``snapshot()["kernels"]``) shows the real pair counts the cost
+    model is recalibrated against.
     """
 
     def __init__(self) -> None:
@@ -85,8 +84,7 @@ class KernelStats:
             self._counts.clear()
 
 
-#: Shared tally used by all kernels in this module and by the scalar
-#: fallback helpers in ``repro.core.engine``.
+#: Shared tally used by all kernels in this module.
 KERNEL_STATS = KernelStats()
 
 
@@ -242,7 +240,7 @@ def pairwise_minmaxdist(
     For finite ``p`` this evaluates the branch-free closed form of the
     face-pair minimum (module docstring); for the Chebyshev metric it
     falls back to literal face enumeration.  ``repro.geometry.metrics``
-    mirrors the same arithmetic so the scalar engine path produces
+    mirrors the same arithmetic so its scalar oracle produces
     bit-identical values for p in {1, 2, inf}; other p agree to the
     last ulp (NumPy's array power and CPython's scalar ``pow`` may
     round differently).

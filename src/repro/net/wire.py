@@ -136,7 +136,6 @@ def encode_request(request: Request) -> Dict[str, Any]:
             height_strategy=request.height_strategy,
             tie_break=_json_safe(request.tie_break),
             maxmax_pruning=request.maxmax_pruning,
-            use_vectorized=request.use_vectorized,
             workers=request.workers,
         )
         # Constraint fields (wire v2) are emitted only when set, so an
@@ -175,10 +174,14 @@ def encode_request(request: Request) -> Dict[str, Any]:
     return out
 
 
-def _decode_range_spec(obj: Optional[Dict[str, Any]]) -> Optional[RangeSpec]:
-    """Decode the v2 ``range`` field; absent (v1) means unconstrained."""
+def _decode_range_spec(obj: Any) -> Optional[RangeSpec]:
+    """Decode the v2 ``range`` field: ``{"lo", "hi"[, "mode"]}`` or a
+    bare ``[lo, hi]`` pair; absent (v1) means unconstrained."""
     if obj is None:
         return None
+    if not isinstance(obj, dict):
+        lo, hi = obj
+        return RangeSpec(tuple(lo), tuple(hi))
     return RangeSpec(
         lo=tuple(obj["lo"]),
         hi=tuple(obj["hi"]),
@@ -186,18 +189,15 @@ def _decode_range_spec(obj: Optional[Dict[str, Any]]) -> Optional[RangeSpec]:
     )
 
 
-def _decode_color_spec(obj: Optional[Dict[str, Any]]) -> Optional[ColorSpec]:
-    """Decode the v2 ``colors`` field; absent (v1) means uncolored."""
+def _decode_color_spec(obj: Any) -> Optional[ColorSpec]:
+    """Decode the v2 ``colors`` field: a dict of :class:`ColorSpec`
+    fields (absent ones take its defaults) or a bare modulus int;
+    absent (v1) means uncolored."""
     if obj is None:
         return None
-    colors_p = obj.get("colors_p")
-    colors_q = obj.get("colors_q")
-    return ColorSpec(
-        modulus=int(obj["modulus"]),
-        colors_p=tuple(colors_p) if colors_p is not None else None,
-        colors_q=tuple(colors_q) if colors_q is not None else None,
-        distinct=bool(obj.get("distinct", False)),
-    )
+    if not isinstance(obj, dict):
+        return ColorSpec(modulus=int(obj))
+    return ColorSpec(**obj)
 
 
 def decode_request(obj: Dict[str, Any]) -> Request:
@@ -236,7 +236,6 @@ def decode_request(obj: Dict[str, Any]) -> Request:
                                         "fix-at-root"),
                 tie_break=obj.get("tie_break"),
                 maxmax_pruning=bool(obj.get("maxmax_pruning", True)),
-                use_vectorized=bool(obj.get("use_vectorized", True)),
                 workers=int(obj.get("workers", 0)),
                 range=_decode_range_spec(obj.get("range")),
                 colors=_decode_color_spec(obj.get("colors")),

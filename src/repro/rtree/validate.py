@@ -29,6 +29,9 @@ class RTreeInvariantError(AssertionError):
 
 @dataclass
 class TreeSummary:
+    """Shape of a tree that passed :func:`validate`: height and node,
+    leaf and point-entry counts."""
+
     height: int
     nodes: int
     leaves: int

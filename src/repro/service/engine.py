@@ -132,7 +132,6 @@ class CPQRequest:
     #: Anything ``TieBreak.parse`` accepts (criterion names, chains).
     tie_break: Optional[object] = None
     maxmax_pruning: bool = True
-    use_vectorized: bool = True
     #: Intra-query worker threads.  ``0`` (the default) is *auto*: the
     #: planner decides whether parallelism pays, within the service's
     #: ``max_query_workers`` budget.  Any value >= 1 forces exactly
@@ -190,7 +189,6 @@ class CPQRequest:
             height_strategy=self.height_strategy,
             tie_break=self.tie_break,
             maxmax_pruning=self.maxmax_pruning,
-            use_vectorized=self.use_vectorized,
             reset_stats=False,
             workers=max(1, workers),
             range=self.range,

@@ -279,10 +279,10 @@ class ServiceMetrics:
                     "net": dict(self._net_events),
                 },
                 # Process-wide pairwise-kernel tallies (calls and entry
-                # pairs per kernel, scalar path under *_scalar).  These
-                # are the observed pair counts the cost model's CPU-side
-                # estimates (repro.analysis.cost_model.estimate_cpu_ms)
-                # are recalibrated against.
+                # pairs per kernel).  These are the observed pair counts
+                # the cost model's CPU-side estimates
+                # (repro.analysis.cost_model.estimate_cpu_ms) are
+                # recalibrated against.
                 "kernels": KERNEL_STATS.snapshot(),
                 "spans": {
                     name: {

@@ -7,6 +7,8 @@ a query window given with reversed corners used to produce a different
 cache key than the same window given lo-first.
 """
 
+import math
+
 import pytest
 
 from repro.core.api import (
@@ -14,6 +16,7 @@ from repro.core.api import (
     COLOR_ALGORITHMS,
     RANGE_ALGORITHMS,
     CPQRequest,
+    k_closest_pairs,
 )
 from repro.core.constraints import ColorSpec, RangeSpec
 from repro.errors import UnsupportedCapabilityError
@@ -43,6 +46,27 @@ class TestRangeSpec:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             RangeSpec((0, 0), (1, 1), mode="sideways")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("corner", ["lo", "hi"])
+    def test_non_finite_corner_rejected(self, bad, corner):
+        corners = {"lo": (0.0, 0.0), "hi": (1.0, 1.0)}
+        corners[corner] = (bad, corners[corner][1])
+        with pytest.raises(ValueError, match="finite"):
+            RangeSpec(corners["lo"], corners["hi"])
+
+    def test_nan_window_query_rejected_not_empty(self):
+        # Accepted, a NaN corner answers "ok" with no pairs after a
+        # near-full traversal; it must fail before any page is read.
+        from repro.datasets import uniform_points
+        from repro.rtree.bulk import bulk_load
+
+        tree_p = bulk_load(uniform_points(200, seed=1))
+        tree_q = bulk_load(uniform_points(200, seed=2))
+        with pytest.raises(ValueError, match="finite"):
+            k_closest_pairs(tree_p, tree_q, request=CPQRequest(
+                k=3, range=((math.nan, 0.0), (1.0, 1.0)),
+            ))
 
     def test_mode_controls_constrained_sides(self):
         assert RangeSpec((0, 0), (1, 1), mode="both").constrains_p
@@ -201,6 +225,32 @@ class TestWireV2:
         decoded = wire.decode_request({"v": 1, "op": "cpq", "k": 3})
         assert decoded.k == 3
         assert decoded.range is None and decoded.colors is None
+
+    def test_shorthand_forms_decode(self):
+        from repro.net import wire
+
+        decoded = wire.decode_request({
+            "v": 2, "op": "cpq", "algorithm": "heap",
+            "range": [[0.7, 0.1], [0.2, 0.9]], "colors": 4,
+        })
+        assert decoded.range == RangeSpec((0.2, 0.1), (0.7, 0.9))
+        assert decoded.colors == ColorSpec(modulus=4)
+
+    def test_color_dict_defaults_match_color_spec(self):
+        from repro.net import wire
+
+        decoded = wire.decode_request(
+            {"v": 2, "op": "cpq", "colors": {"modulus": 3}}
+        )
+        assert decoded.colors == ColorSpec(modulus=3)
+
+    def test_non_finite_window_rejected(self):
+        from repro.net import wire
+
+        body = (b'{"v": 2, "op": "cpq", "algorithm": "heap", '
+                b'"range": {"lo": [NaN, 0.0], "hi": [1.0, 1.0]}}')
+        with pytest.raises(wire.WireError, match="finite"):
+            wire.loads_request(body)
 
     def test_future_version_rejected(self):
         from repro.net import wire

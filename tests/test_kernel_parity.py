@@ -1,12 +1,11 @@
-"""The scalar and vectorised expansion paths must agree *bitwise*.
+"""The NumPy kernels must agree *bitwise* with the scalar oracle.
 
-``CPQOptions.use_vectorized`` promises that switching implementations
-never changes a result: the scalar helpers in
-:mod:`repro.geometry.metrics` mirror the NumPy kernels of
-:mod:`repro.geometry.vectorized` operation for operation (same
-accumulation order, same parenthesisation), so their outputs are equal
-as bit patterns, not merely to a tolerance.  These tests pin that
-contract at two levels:
+The traversal evaluates every pruning metric through the batch kernels
+of :mod:`repro.geometry.vectorized`.  The scalar helpers of
+:mod:`repro.geometry.metrics` are kept as their oracle: they mirror
+the kernels operation for operation (same accumulation order, same
+parenthesisation), so their outputs are equal as bit patterns, not
+merely to a tolerance.  These tests pin that contract at three levels:
 
 * kernel level -- Hypothesis-generated rectangle/point batches in
   d = 2 and d = 3 under Euclidean, Manhattan and Chebyshev metrics,
@@ -20,11 +19,10 @@ contract at two levels:
   p = 3 is held to at most 1 ulp there;
 * tie keys -- the batched T1-T5 keys the traversal uses
   (:meth:`TieBreak.keys` over :class:`CandidateBoxes`) equal the
-  per-candidate :meth:`TieCriterion.key` on the same tie-heavy boxes;
-* query level -- every algorithm on a SEQUOIA-like sample returns
-  byte-identical ``CPQResult.pairs`` (distances, points, oids, i.e.
-  tie-break order too) and identical work counters with the flag on
-  and off.
+  per-candidate :meth:`TieCriterion.key` on the same tie-heavy boxes.
+
+A query on a SEQUOIA-like sample also checks that the traversal's
+kernel calls land in :data:`KERNEL_STATS`.
 """
 
 import numpy as np
@@ -33,7 +31,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CPQRequest, k_closest_pairs
-from repro.core.api import CORE_ALGORITHMS as ALGORITHMS
 from repro.core.ties import (
     TIE_CRITERIA,
     CandidateBoxes,
@@ -274,7 +271,7 @@ def test_batched_tie_keys_match_per_candidate(
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: whole queries are identical with the flag on and off.
+# Query level: the traversal's kernel calls are tallied.
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -285,51 +282,13 @@ def sequoia_trees():
     return bulk_load(pts_p), bulk_load(pts_q)
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("k", [1, 10])
-def test_query_parity_scalar_vs_vectorized(sequoia_trees, algorithm, k):
-    tree_p, tree_q = sequoia_trees
-    results = {}
-    for use_vectorized in (True, False):
-        request = CPQRequest(
-            k=k, algorithm=algorithm, use_vectorized=use_vectorized
-        )
-        results[use_vectorized] = k_closest_pairs(
-            tree_p, tree_q, request=request
-        )
-    fast, slow = results[True], results[False]
-    # Byte-identical pairs: same distances (as bit patterns), same
-    # points, same oids, same (tie-break) order.
-    assert [
-        (p.distance, p.p, p.q, p.p_oid, p.q_oid) for p in fast.pairs
-    ] == [
-        (p.distance, p.p, p.q, p.p_oid, p.q_oid) for p in slow.pairs
-    ]
-    # And the same work: identical pruning means identical traversal.
-    assert fast.stats.node_pairs_visited == slow.stats.node_pairs_visited
-    assert fast.stats.disk_accesses == slow.stats.disk_accesses
-    assert (fast.stats.distance_computations
-            == slow.stats.distance_computations)
-
-
-def test_scalar_path_records_scalar_kernels(sequoia_trees):
+def test_query_records_kernel_tallies(sequoia_trees):
     tree_p, tree_q = sequoia_trees
     KERNEL_STATS.reset()
     k_closest_pairs(
-        tree_p, tree_q,
-        request=CPQRequest(k=4, algorithm="heap", use_vectorized=False),
-    )
-    tallies = KERNEL_STATS.snapshot()
-    assert tallies["points_scalar"]["pairs"] > 0
-    assert tallies["minmin_scalar"]["pairs"] > 0
-    assert "points" not in tallies
-    KERNEL_STATS.reset()
-    k_closest_pairs(
-        tree_p, tree_q,
-        request=CPQRequest(k=4, algorithm="heap", use_vectorized=True),
+        tree_p, tree_q, request=CPQRequest(k=4, algorithm="heap"),
     )
     tallies = KERNEL_STATS.snapshot()
     assert tallies["points"]["pairs"] > 0
     assert tallies["minmin"]["pairs"] > 0
-    assert "points_scalar" not in tallies
     KERNEL_STATS.reset()

@@ -3,11 +3,11 @@ results.
 
 ``parallel_k_closest_pairs`` must return exactly the pairs -- values
 AND tie order -- that the serial executor returns, for every algorithm,
-worker count, partition depth and execution mode.  The suite checks
-that promise on clustered (SEQUOIA-like) samples, on adversarial
-all-equal-distance data where any tie-break slip shows, and across the
-thread/process modes; plus the supporting machinery (SharedBound,
-request validation, deadline propagation).
+worker count and partition depth.  The suite checks that promise on
+clustered (SEQUOIA-like) samples and on adversarial
+all-equal-distance data where any tie-break slip shows; plus the
+supporting machinery (SharedBound, request validation, deadline
+propagation).
 """
 
 import math
@@ -21,8 +21,6 @@ from repro.core.result import ClosestPair
 from repro.datasets import sequoia_like
 from repro.rtree.bulk import bulk_load
 from repro.rtree.tree import RTree
-from repro.storage.paged_file import PagedFile
-from repro.storage.store import FilePageStore
 
 ALGORITHMS = ("naive", "exh", "sim", "std", "heap")
 
@@ -62,7 +60,7 @@ class TestThreadParity:
     def test_workers_do_not_change_cache_key(self):
         base = CPQRequest(k=5, algorithm="heap")
         parallel = CPQRequest(k=5, algorithm="heap", workers=8,
-                              partition_depth=2, parallel_mode="process")
+                              partition_depth=2)
         assert base.cache_key() == parallel.cache_key()
 
     def test_worker_count_beyond_tasks(self, trees):
@@ -136,41 +134,6 @@ class TestAdversarialTies:
         assert parallel.pairs == serial.pairs
 
 
-class TestProcessMode:
-    def _file_tree(self, tmp_path, name, points):
-        store = FilePageStore(str(tmp_path / name), page_size=1024)
-        return bulk_load(points, file=PagedFile(store, page_size=1024))
-
-    def test_identical_to_serial(self, tmp_path):
-        rng = random.Random(7)
-        pts_p = [(rng.random(), rng.random()) for __ in range(250)]
-        pts_q = [(rng.random(), rng.random()) for __ in range(250)]
-        tree_p = self._file_tree(tmp_path, "p.pages", pts_p)
-        tree_q = self._file_tree(tmp_path, "q.pages", pts_q)
-        serial = k_closest_pairs(
-            tree_p, tree_q, request=CPQRequest(k=10, algorithm="heap")
-        )
-        parallel = k_closest_pairs(
-            tree_p, tree_q,
-            request=CPQRequest(k=10, algorithm="heap", workers=2,
-                               partition_depth=2,
-                               parallel_mode="process"),
-        )
-        assert parallel.pairs == serial.pairs
-        info = parallel.stats.extra["parallel"]
-        assert info["mode"] == "process"
-        assert info["child_io"]["disk_reads"] > 0
-
-    def test_requires_file_backed_store(self):
-        tree_p, tree_q = _sequoia_trees(n=80)
-        with pytest.raises(ValueError, match="file-backed"):
-            k_closest_pairs(
-                tree_p, tree_q,
-                request=CPQRequest(k=1, algorithm="heap", workers=2,
-                                   parallel_mode="process"),
-            )
-
-
 class TestSharedBound:
     def _pairs(self, *distances):
         return [
@@ -220,10 +183,6 @@ class TestRequestValidation:
     def test_partition_depth_restricted(self):
         with pytest.raises(ValueError, match="partition_depth"):
             CPQRequest(partition_depth=3)
-
-    def test_parallel_mode_restricted(self):
-        with pytest.raises(ValueError, match="parallel_mode"):
-            CPQRequest(parallel_mode="fork")
 
 
 class TestCancellation:

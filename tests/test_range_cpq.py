@@ -126,21 +126,6 @@ class TestRangeParity:
         )
         assert result.pairs == []
 
-    def test_scalar_path_matches_vectorized(self, sequoia_trees):
-        tree_p, tree_q = sequoia_trees
-        vec, scalar = (
-            k_closest_pairs(
-                tree_p,
-                tree_q,
-                request=CPQRequest(
-                    k=10, algorithm="clipped", range=WINDOW,
-                    use_vectorized=use_vectorized,
-                ),
-            )
-            for use_vectorized in (True, False)
-        )
-        assert vec.pairs == scalar.pairs
-
     @pytest.mark.parametrize("algorithm", ["heap", "clipped"])
     def test_parallel_workers_byte_parity(self, sequoia_trees, algorithm):
         tree_p, tree_q = sequoia_trees

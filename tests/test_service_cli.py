@@ -118,6 +118,9 @@ def test_serve_reads_stdin_jsonl(point_files, capsys, monkeypatch):
         "not json at all",
         json.dumps({"op": "nope"}),
         json.dumps({"op": "knn", "point": [0.1, 0.9], "k": 2}),
+        json.dumps({"op": "cpq", "algorithm": "heap",
+                    "range": {"lo": [float("nan"), 0.0],
+                              "hi": [1.0, 1.0]}}),
     ]) + "\n"
     monkeypatch.setattr("sys.stdin", io.StringIO(lines))
 
@@ -127,7 +130,7 @@ def test_serve_reads_stdin_jsonl(point_files, capsys, monkeypatch):
 
     responses = [json.loads(line)
                  for line in captured.out.splitlines() if line.strip()]
-    assert len(responses) == 4  # blank line dropped
+    assert len(responses) == 5  # blank line dropped
     assert responses[0]["status"] == "ok"
     assert responses[0]["kind"] == "cpq"
     assert responses[1]["status"] == "error"  # bad JSON
@@ -135,6 +138,8 @@ def test_serve_reads_stdin_jsonl(point_files, capsys, monkeypatch):
     assert responses[2]["status"] == "error"  # unknown op
     assert responses[3]["status"] == "ok"
     assert len(responses[3]["neighbors"]) == 2
+    assert responses[4]["status"] == "error"  # NaN window corner
+    assert "finite" in responses[4]["error"]
     assert "# serve-stats" in captured.err
 
 
@@ -156,3 +161,54 @@ def test_batch_distances_match_direct_query(point_files, tmp_path, capsys):
     (response,) = [json.loads(line)
                    for line in captured.out.splitlines() if line.strip()]
     assert response["pairs"][0]["distance"] == pytest.approx(best)
+
+
+def _query_pairs(output: str):
+    """(p, q, distance) rows of ``repro-cpq query`` output."""
+    rows = []
+    for line in output.splitlines():
+        if not line.strip() or line.startswith("#"):
+            continue
+        __, p, q, distance = line.strip().split("  ")
+        rows.append((p, q, distance))
+    return rows
+
+
+@pytest.mark.parametrize("fields, query_flags", [
+    ({"range": {"lo": [0.1, 0.2], "hi": [0.7, 0.8]}},
+     ["--range", "0.1,0.2,0.7,0.8"]),
+    ({"range": [[0.1, 0.2], [0.7, 0.8]]},
+     ["--range", "0.1,0.2,0.7,0.8"]),
+    ({"range": {"lo": [0.1, 0.2], "hi": [0.7, 0.8], "mode": "p"}},
+     ["--range", "0.1,0.2,0.7,0.8", "--range-mode", "p"]),
+    ({"colors": 3}, ["--colors", "3", "--distinct"]),
+    ({"colors": {"modulus": 3, "colors_p": [1], "distinct": False}},
+     ["--colors", "3:1"]),
+    ({"height_strategy": "fix-at-leaves"}, []),
+], ids=["range-dict", "range-pair", "range-mode", "colors-int",
+        "colors-dict", "height-strategy"])
+def test_batch_line_forms_match_query(
+    point_files, tmp_path, capsys, fields, query_flags
+):
+    """Every accepted JSONL spelling of a cpq request answers exactly
+    what `repro-cpq query` answers for the same request."""
+    left, right = point_files
+    requests_path = tmp_path / "requests.jsonl"
+    write_jsonl(requests_path, [
+        dict({"op": "cpq", "k": 5, "algorithm": "heap"}, **fields),
+    ])
+    assert main(["batch", left, right, str(requests_path)]) == 0
+    (response,) = [json.loads(line) for line in
+                   capsys.readouterr().out.splitlines() if line.strip()]
+    assert response["status"] == "ok"
+
+    with pytest.warns(DeprecationWarning):
+        code = main(["query", left, right, "--k", "5",
+                     "--algorithm", "heap", *query_flags])
+    assert code == 0
+    expected = _query_pairs(capsys.readouterr().out)
+    assert expected
+    assert [
+        (str(tuple(p["p"])), str(tuple(p["q"])), f"{p['distance']:.9f}")
+        for p in response["pairs"]
+    ] == expected

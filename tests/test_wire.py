@@ -45,7 +45,6 @@ class TestRequestRoundTrip:
             height_strategy="fix-at-leaves",
             tie_break="distance,p_oid,q_oid",
             maxmax_pruning=False,
-            use_vectorized=False,
             workers=4,
         )
         decoded = _roundtrip_request(request)
@@ -104,6 +103,28 @@ class TestRequestRoundTrip:
     def test_invalid_json_bytes_rejected(self):
         with pytest.raises(wire.WireError, match="JSON"):
             wire.loads_request(b"{not json")
+
+    @pytest.mark.parametrize("version", sorted(wire.ACCEPTED_VERSIONS))
+    def test_retired_fields_ignored(self, version):
+        # Older clients still send the retired execution knobs; they
+        # decode like any unknown key, to the same request as without.
+        envelope = {"v": version, "op": "cpq", "pair": "p", "k": 4,
+                    "algorithm": "heap", "workers": 2}
+        legacy = dict(envelope, use_vectorized=False,
+                      parallel_mode="process")
+        assert wire.decode_request(legacy) == wire.decode_request(envelope)
+
+    def test_encoded_envelope_omits_retired_fields(self):
+        envelope = wire.encode_request(CPQRequest(pair="default"))
+        assert "use_vectorized" not in envelope
+        assert "parallel_mode" not in envelope
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_range_rejected(self, bad):
+        body = ('{"v": 2, "op": "cpq", "algorithm": "heap", "range": '
+                '{"lo": [0.0, %s], "hi": [1.0, 1.0]}}' % bad)
+        with pytest.raises(wire.WireError, match="finite"):
+            wire.loads_request(body.encode())
 
 
 def _cpq_result():
