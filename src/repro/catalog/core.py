@@ -185,6 +185,7 @@ class IndexEntry:
             buffer_capacity=buffer_capacity,
             read_latency=read_latency,
             use_mmap=self.use_mmap if use_mmap is None else use_mmap,
+            allow_legacy_pages=self.allow_legacy_pages,
         )
 
     def to_json(self, base_dir: str) -> Dict[str, Any]:

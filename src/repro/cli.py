@@ -65,20 +65,6 @@ def _wal_path(tree_path: str) -> str:
     return tree_path + ".wal"
 
 
-def _load_tree(path: str, use_mmap: bool = False) -> RTree:
-    """Open a tree from a .pages file, or build one from a points file.
-
-    ``.pages`` inputs reopen through the catalog's
-    :func:`repro.catalog.open_tree` -- the same single reopen path the
-    service and the shard workers use.
-    """
-    if path.endswith(".pages"):
-        from repro.catalog import open_tree
-
-        return open_tree(path, use_mmap=use_mmap)
-    return bulk_load(load_points(path))
-
-
 def _get_catalog(args: argparse.Namespace):
     """The ``--catalog`` flag as a loaded :class:`Catalog`, or None."""
     path = getattr(args, "catalog", None)
@@ -105,13 +91,13 @@ def _open_input(
 ) -> RTree:
     """Resolve one dataset input: catalog name, ``.pages``, or points.
 
-    Catalog names win; path arguments (deprecated on the commands that
-    pass ``warn_paths=True``) route through the same catalog machinery
-    -- a ``.pages`` file is adopted into an in-memory catalog entry
-    and opened with :meth:`~repro.catalog.Catalog.open_dataset`, so
-    flag handling cannot diverge from named datasets.
+    Catalog names win.  Path arguments are deprecated on the commands
+    that pass ``warn_paths=True``; a ``.pages`` path reopens through
+    :func:`repro.catalog.open_tree` -- the same single reopen path the
+    catalog, the service and the shard workers use -- and a points
+    file is bulk-loaded.
     """
-    from repro.catalog import Catalog
+    from repro.catalog import open_tree
     from repro.errors import UnknownDatasetError
 
     if catalog is not None and ref in catalog:
@@ -123,10 +109,7 @@ def _open_input(
     if warn_paths:
         _deprecate_path_arg(ref)
     if ref.endswith(".pages"):
-        scratch = Catalog(ref + ".catalog.json")
-        scratch.adopt_pages("_adopted", ref, use_mmap=use_mmap,
-                            persist=False)
-        return scratch.open_dataset("_adopted")
+        return open_tree(ref, use_mmap=use_mmap)
     return bulk_load(load_points(ref))
 
 
@@ -284,7 +267,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    tree = _load_tree(args.tree)
+    tree = _open_input(args.tree, None, warn_paths=False)
     print(f"tree: {args.tree}")
     print(f"  points:   {len(tree)}")
     print(f"  height:   {tree.height}")
@@ -492,7 +475,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_knn(args: argparse.Namespace) -> int:
     from repro.query import nearest_neighbors
 
-    tree = _load_tree(args.tree)
+    tree = _open_input(args.tree, None, warn_paths=False)
     found = nearest_neighbors(tree, (args.x, args.y), k=args.k)
     for rank, (distance, entry) in enumerate(found, start=1):
         print(f"{rank:4d}  {entry.point}  oid={entry.oid}  "
@@ -505,7 +488,7 @@ def cmd_range(args: argparse.Namespace) -> int:
     from repro.geometry.mbr import MBR
     from repro.query import range_query
 
-    tree = _load_tree(args.tree)
+    tree = _open_input(args.tree, None, warn_paths=False)
     window = MBR((args.xmin, args.ymin), (args.xmax, args.ymax))
     found = range_query(tree, window)
     for entry in found:
@@ -518,8 +501,8 @@ def cmd_join(args: argparse.Namespace) -> int:
     from repro.query import distance_range_join
     from repro.storage.stats import QueryStats
 
-    tree_p = _load_tree(args.left)
-    tree_q = _load_tree(args.right)
+    tree_p = _open_input(args.left, None, warn_paths=False)
+    tree_q = _open_input(args.right, None, warn_paths=False)
     tree_p.file.reset_for_query()
     tree_q.file.reset_for_query()
     stats = QueryStats()
@@ -594,8 +577,8 @@ def _make_service(args: argparse.Namespace):
     from repro.obs import Tracer
     from repro.service import QueryService
 
-    tree_p = _load_tree(args.left)
-    tree_q = _load_tree(args.right)
+    tree_p = _open_input(args.left, None, warn_paths=False)
+    tree_q = _open_input(args.right, None, warn_paths=False)
     if args.buffer:
         tree_p.file.set_buffer_capacity(args.buffer // 2)
         tree_q.file.set_buffer_capacity(args.buffer // 2)
@@ -698,7 +681,7 @@ def _file_backed_tree(path: str, scratch_dir: str, name: str) -> RTree:
     points input is bulk-loaded into ``scratch_dir`` first.
     """
     if path.endswith(".pages"):
-        return _load_tree(path)
+        return _open_input(path, None, warn_paths=False)
     import os
 
     pages = os.path.join(scratch_dir, name + ".pages")
@@ -713,7 +696,6 @@ def cmd_serve_net(args: argparse.Namespace) -> int:
 
     from repro.errors import CatalogError
     from repro.net import NetServer, ShardManager, tree_spec
-    from repro.net.shard import TreeSpec
     from repro.service import QueryService
 
     catalog = _get_catalog(args)
@@ -751,10 +733,8 @@ def cmd_serve_net(args: argparse.Namespace) -> int:
         scratch = tempfile.mkdtemp(prefix="repro-serve-net-")
         specs = []
         for name, path in (("p", args.left), ("q", args.right)):
-            tree = _file_backed_tree(path, scratch, name)
-            spec = tree_spec(tree)
-            specs.append(TreeSpec(
-                spec.path, spec.page_size, spec.metadata,
+            specs.append(tree_spec(
+                _file_backed_tree(path, scratch, name),
                 buffer_capacity=args.shard_buffer,
                 read_latency=read_latency,
             ))
@@ -855,9 +835,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     a bug.  Exit status 0 only when every run survives -- the bundled
     schedules are all survivable by construction (transient streaks
     shorter than the retry budget, wire bit-flips healed by the
-    checksum re-read), so any nonzero exit is a real regression.
+    checksum re-read), so any nonzero exit is a real regression.  A
+    schedule other than ``none`` that injected no fault also exits 1:
+    such a run proves nothing.
     """
     import dataclasses
+    from collections import Counter
 
     from repro.errors import StorageError
     from repro.storage.faults import (
@@ -868,9 +851,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     if args.list_schedules:
         for name, plan in sorted(SCHEDULES.items()):
-            print(f"{name:10s} transient={plan.p_transient:g} "
-                  f"latency={plan.p_latency:g} bitflip={plan.p_bitflip:g} "
-                  f"torn={plan.p_torn_write:g}")
+            print(f"{name:10s} {plan.describe()}")
         return 0
     if args.schedule not in SCHEDULES:
         print(f"unknown schedule {args.schedule!r}; choose from "
@@ -881,8 +862,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    tree_p = _load_tree(args.left)
-    tree_q = _load_tree(args.right)
+    tree_p = _open_input(args.left, None, warn_paths=False)
+    tree_q = _open_input(args.right, None, warn_paths=False)
     if args.buffer:
         tree_p.file.set_buffer_capacity(args.buffer // 2)
         tree_q.file.set_buffer_capacity(args.buffer // 2)
@@ -943,19 +924,21 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     finally:
         unwrap_tree_store(tree_p)
         unwrap_tree_store(tree_q)
-    faults = wrapper_p.faults
-    faults_q = wrapper_q.faults
+    faults = Counter(wrapper_p.faults.as_dict())
+    faults.update(wrapper_q.faults.as_dict())
     print(f"# schedule {args.schedule!r} seed {args.seed}: "
-          f"{faults.transient_raised + faults_q.transient_raised} "
-          f"transient errors, "
-          f"{faults.bits_flipped + faults_q.bits_flipped} bit flips, "
-          f"{faults.latency_spikes + faults_q.latency_spikes} "
-          f"latency spikes over "
-          f"{faults.reads + faults_q.reads} reads")
+          f"{faults['transient_raised']} transient errors, "
+          f"{faults['bits_flipped']} bit flips, "
+          f"{faults['latency_spikes']} latency spikes over "
+          f"{faults['reads']} reads")
     print(f"# recovery: {retries} read retries, "
           f"{corruption} corrupt pages detected and re-read")
     total = len(algorithms) * args.repeat
     print(f"# {total - len(failures)}/{total} runs survived")
+    if args.schedule != "none" and not faults["injected"]:
+        print(f"chaos: schedule {args.schedule!r} injected no fault; "
+              f"the run proves nothing", file=sys.stderr)
+        return 1
     return 1 if failures else 0
 
 
@@ -1030,7 +1013,7 @@ def _chaos_net_round(schedule: str, plan, shards: int,
             shard_timeout_s=args.shard_timeout,
             attempt_timeout_s=args.attempt_timeout,
             retry_policy=RetryPolicy(max_attempts=4, base_delay_s=0.01,
-                                     max_delay_s=0.1),
+                                     max_delay_s=0.1, jitter=0.5),
             hedge_policy=HedgePolicy(floor_s=args.hedge_floor_ms / 1000.0,
                                      min_samples=4),
             transport=transport,
@@ -1193,9 +1176,7 @@ def cmd_chaos_net(args: argparse.Namespace) -> int:
 
     if args.list_schedules:
         for name, plan in sorted(NET_SCHEDULES.items()):
-            print(f"{name:10s} drop={plan.p_drop:g} stall={plan.p_stall:g} "
-                  f"truncate={plan.p_truncate:g} corrupt={plan.p_corrupt:g} "
-                  f"kill={plan.p_kill:g}")
+            print(f"{name:10s} {plan.describe()}")
         return 0
     if args.quick:
         schedules = ["stall", "kill", "mixed"]

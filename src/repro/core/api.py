@@ -78,11 +78,9 @@ class AlgorithmSpec:
     """One registered CPQ algorithm and its capability flags.
 
     The flags let generic consumers (CLI, planner, service validation)
-    reason about an algorithm without hard-coding its name: whether it
-    answers K > 1 queries, honours cooperative deadlines, has a
-    vectorized kernel path, and whether the cost-model planner may
-    select it (NAIVE is correct but exponentially expensive, so it is
-    registered as not plannable).
+    reason about an algorithm without hard-coding its name, e.g.
+    whether the cost-model planner may select it (NAIVE is correct but
+    exponentially expensive, so it is registered as not plannable).
 
     ``supports_parallel`` marks algorithms the partitioned executor
     (:mod:`repro.core.parallel`) can run with ``workers > 1``.
@@ -102,9 +100,6 @@ class AlgorithmSpec:
     name: str
     label: str
     description: str
-    supports_many: bool = True
-    supports_deadline: bool = True
-    supports_vectorized: bool = True
     plannable: bool = True
     supports_parallel: bool = False
     supports_range: bool = False
@@ -319,8 +314,6 @@ ALGORITHM_REGISTRY: Dict[str, AlgorithmSpec] = {
             label="SELF-HEAP",
             description="K closest pairs within one set (Section 6); "
                         "pass the same tree as both sides",
-            supports_deadline=False,
-            supports_vectorized=False,
             plannable=False,
             self_join=True,
             runner=_run_self,
@@ -330,8 +323,6 @@ ALGORITHM_REGISTRY: Dict[str, AlgorithmSpec] = {
             label="SEMI",
             description="all-nearest-neighbour join (Section 6); one "
                         "pair per P point, k ignored",
-            supports_deadline=False,
-            supports_vectorized=False,
             plannable=False,
             semi=True,
             runner=_run_semi,
@@ -341,8 +332,6 @@ ALGORITHM_REGISTRY: Dict[str, AlgorithmSpec] = {
             label="MULTIWAY",
             description="m=2 chain of the multi-way engine (Section 6 "
                         "future work (a)); equivalent to a K-CPQ",
-            supports_deadline=False,
-            supports_vectorized=False,
             plannable=False,
             multiway=True,
             runner=_run_multiway,
@@ -352,8 +341,6 @@ ALGORITHM_REGISTRY: Dict[str, AlgorithmSpec] = {
             label="INC",
             description="Hjaltason & Samet incremental distance join, "
                         "K-bounded (SML policy)",
-            supports_deadline=False,
-            supports_vectorized=False,
             plannable=False,
             incremental=True,
             runner=_run_incremental,
@@ -451,16 +438,8 @@ class CPQRequest:
                 f"unknown algorithm {self.algorithm!r}; "
                 f"expected one of {ALGORITHMS}"
             )
-        if self.range is not None and not isinstance(self.range, RangeSpec):
-            lo, hi = self.range
-            object.__setattr__(self, "range", RangeSpec(tuple(lo), tuple(hi)))
-        if self.colors is not None and not isinstance(self.colors, ColorSpec):
-            if isinstance(self.colors, dict):
-                object.__setattr__(self, "colors", ColorSpec(**self.colors))
-            else:
-                object.__setattr__(
-                    self, "colors", ColorSpec(modulus=int(self.colors))
-                )
+        object.__setattr__(self, "range", RangeSpec.coerce(self.range))
+        object.__setattr__(self, "colors", ColorSpec.coerce(self.colors))
         spec = ALGORITHM_REGISTRY[self.algorithm]
         if self.range is not None and not spec.supports_range:
             raise UnsupportedCapabilityError(
@@ -589,6 +568,7 @@ def k_closest_pairs(
 
         local_tracer = tracer = Tracer()
 
+    result = fallback = None
     if request.workers > 1 and request.spec.supports_parallel:
         try:
             result = parallel_k_closest_pairs(
@@ -600,9 +580,9 @@ def k_closest_pairs(
             )
         except (DeadlineExceeded, ValueError):
             # Cancellation is the caller's intent; ValueError covers
-            # misconfiguration (e.g. process mode without file-backed
-            # trees) and PageCorruptionError, both deterministic -- a
-            # serial rerun would only hit them again.
+            # misconfiguration and PageCorruptionError, both
+            # deterministic -- a serial rerun would only hit them
+            # again.
             raise
         except Exception as exc:  # noqa: BLE001 -- degrade, don't die
             # Graceful degradation: a worker-pool failure (exhausted
@@ -610,33 +590,18 @@ def k_closest_pairs(
             # falls back to the serial engine, which re-reads through
             # the buffer and may well succeed.  The fallback is
             # recorded in the result's stats for observability.
-            ctx = CPQContext(
-                tree_p,
-                tree_q,
-                request.k,
-                request.metric,
-                cancel_check=cancel_check,
-                tracer=tracer,
-                range_spec=request.range,
-                color_spec=request.colors,
-            )
-            result = request.spec.runner(ctx, request)
-            result.stats.extra["parallel_fallback"] = {
+            fallback = {
                 "error": f"{type(exc).__name__}: {exc}",
                 "workers_requested": request.workers,
             }
-    else:
-        ctx = CPQContext(
-            tree_p,
-            tree_q,
-            request.k,
-            request.metric,
-            cancel_check=cancel_check,
-            tracer=tracer,
-            range_spec=request.range,
-            color_spec=request.colors,
+    if result is None:
+        ctx = CPQContext.for_request(
+            tree_p, tree_q, request,
+            cancel_check=cancel_check, tracer=tracer,
         )
         result = request.spec.runner(ctx, request)
+        if fallback is not None:
+            result.stats.extra["parallel_fallback"] = fallback
     if local_tracer is not None:
         traces = local_tracer.pop_traces()
         result.trace = traces[-1] if traces else None

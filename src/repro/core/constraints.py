@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
 
 
 #: Which side(s) of the pair the window restricts.
@@ -77,6 +77,21 @@ class RangeSpec:
                 f"unknown range mode {self.mode!r}; "
                 f"expected one of {RANGE_MODES}"
             )
+
+    @classmethod
+    def coerce(cls, value: Any) -> Optional["RangeSpec"]:
+        """A window from a :class:`RangeSpec`, a ``{"lo", "hi"[,
+        "mode"]}`` dict, a bare ``(lo, hi)`` pair or ``None``."""
+        if value is None or isinstance(value, cls):
+            return value
+        try:
+            if isinstance(value, dict):
+                return cls(tuple(value["lo"]), tuple(value["hi"]),
+                           value.get("mode", "both"))
+            lo, hi = value
+            return cls(tuple(lo), tuple(hi))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"bad range {value!r}: {exc}") from exc
 
     @property
     def dimension(self) -> int:
@@ -148,6 +163,19 @@ class ColorSpec:
             raise ValueError(
                 "distinct colored pairs need a modulus of at least 2"
             )
+
+    @classmethod
+    def coerce(cls, value: Any) -> Optional["ColorSpec"]:
+        """A predicate from a :class:`ColorSpec`, a dict of its fields,
+        a bare modulus or ``None``."""
+        if value is None or isinstance(value, cls):
+            return value
+        try:
+            if isinstance(value, dict):
+                return cls(**value)
+            return cls(modulus=int(value))
+        except TypeError as exc:
+            raise ValueError(f"bad colors {value!r}: {exc}") from exc
 
     def color(self, oid: int) -> int:
         return int(oid) % self.modulus

@@ -165,6 +165,16 @@ class CPQContext:
                 self.root_q.mbr().area() if self.root_q else 1.0
             )
 
+    @classmethod
+    def for_request(cls, tree_p: RTree, tree_q: RTree, request,
+                    **hooks) -> "CPQContext":
+        """The context for one :class:`~repro.core.api.CPQRequest`'s
+        K, metric and constraints; ``hooks`` are the other keyword
+        arguments."""
+        return cls(tree_p, tree_q, request.k, request.metric,
+                   range_spec=request.range, color_spec=request.colors,
+                   **hooks)
+
     @property
     def t(self) -> float:
         """The pruning bound T: best of the K-heap top and the metric
@@ -214,30 +224,28 @@ class CPQContext:
 # Traversal tracing (repro.obs)
 # ---------------------------------------------------------------------------
 
-def _finish_io_span(tracer, label: str, base, after, collector) -> None:
+def _finish_io_span(tracer, label: str, io, collector) -> None:
     """Attach one ``io.<label>`` leaf carrying the tree's I/O delta.
 
-    ``disk_reads`` / ``buffer_hits`` are delta-snapshots of the tree's
-    :class:`~repro.storage.stats.IOStats` across the traversal (exact
-    when the query has the trees to itself); ``observed_*`` and
+    ``disk_reads`` / ``buffer_hits`` come from ``io``, the tree's
+    :class:`~repro.storage.stats.IOStats` delta across the traversal
+    (exact when the query has the trees to itself); ``observed_*`` and
     ``distinct_pages`` come from the buffer observer and are exact for
     this thread even under concurrency.
     """
     with tracer.span(label) as child:
         child.annotate(
-            disk_reads=after.disk_reads - base.disk_reads,
-            buffer_hits=after.buffer_hits - base.buffer_hits,
-            reads=after.reads - base.reads,
+            disk_reads=io.disk_reads,
+            buffer_hits=io.buffer_hits,
+            reads=io.reads,
         )
         # Resilience counters are annotated only when they moved, so
         # fault-free traces (and the explain golden output) stay
         # byte-stable while faulted runs show their retries.
-        retries = after.read_retries - base.read_retries
-        if retries:
-            child.annotate(read_retries=retries)
-        corrupt = after.corrupt_reads - base.corrupt_reads
-        if corrupt:
-            child.annotate(corrupt_reads=corrupt)
+        if io.read_retries:
+            child.annotate(read_retries=io.read_retries)
+        if io.corrupt_reads:
+            child.annotate(corrupt_reads=io.corrupt_reads)
         if collector is not None and collector.reads:
             child.annotate(
                 observed_reads=collector.reads,
@@ -280,10 +288,10 @@ def traced_traversal(ctx: CPQContext, algorithm: str, **attrs):
                     node_pairs_visited=ctx.stats.node_pairs_visited,
                     distance_computations=ctx.stats.distance_computations,
                 )
-                _finish_io_span(tracer, "io.p", base_p,
-                                ctx.tree_p.stats.snapshot(), collectors["p"])
-                _finish_io_span(tracer, "io.q", base_q,
-                                ctx.tree_q.stats.snapshot(), collectors["q"])
+                _finish_io_span(tracer, "io.p", ctx.tree_p.stats.since(base_p),
+                                collectors["p"])
+                _finish_io_span(tracer, "io.q", ctx.tree_q.stats.since(base_q),
+                                collectors["q"])
     finally:
         # Without this, repeated queries on the same trees leak the
         # buffers' on_read observers past the traversal that set them.

@@ -51,7 +51,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -109,10 +109,8 @@ class WorkerReport:
     pairs: List[ClosestPair] = field(default_factory=list)
     tasks_completed: int = 0
     publishes: int = 0
-    node_pairs_visited: int = 0
-    distance_computations: int = 0
-    queue_inserts: int = 0
-    max_queue_size: int = 0
+    #: :meth:`~repro.storage.stats.QueryStats.traversal_counters`.
+    counters: Dict[str, int] = field(default_factory=dict)
     wall_ms: float = 0.0
 
 
@@ -213,6 +211,24 @@ def partition_tasks(ctx: CPQContext, request) -> List[PartitionTask]:
     ]
 
 
+def run_chunk(ctx: CPQContext, request,
+              chunk: Iterable[Tuple[int, int, float]]) -> int:
+    """Run the request's algorithm over one MINMINDIST-ascending chunk
+    of ``(page_p, page_q, minmin)`` tasks into ``ctx``'s K-heap;
+    returns the tasks run.  The first task beyond the bound ends it.
+    """
+    runner = request.spec.runner
+    completed = 0
+    for page_p, page_q, minmin in chunk:
+        if minmin > ctx.t:
+            break
+        ctx.root_p = ctx.tree_p.read_node(page_p)
+        ctx.root_q = ctx.tree_q.read_node(page_q)
+        runner(ctx, request)
+        completed += 1
+    return completed
+
+
 # ---------------------------------------------------------------------------
 # Thread workers
 # ---------------------------------------------------------------------------
@@ -229,15 +245,12 @@ def _thread_worker(
     base_probe: Optional[Callable[[], None]],
 ) -> WorkerReport:
     runner = request.spec.runner
-    wctx = CPQContext(
+    wctx = CPQContext.for_request(
         ctx.tree_p,
         ctx.tree_q,
-        request.k,
-        request.metric,
+        request,
         roots=(ctx.root_p, ctx.root_q),
         root_areas=(ctx.root_area_p, ctx.root_area_q),
-        range_spec=request.range,
-        color_spec=request.colors,
     )
     wctx.bound = ctx.bound
     report = WorkerReport(worker_id=worker_id)
@@ -289,10 +302,7 @@ def _thread_worker(
     report.pairs = wctx.kheap.sorted_pairs()
     # I/O fields of wctx.stats are garbage (each runner call re-merges
     # the shared tree counters); the traversal counters are exact.
-    report.node_pairs_visited = wctx.stats.node_pairs_visited
-    report.distance_computations = wctx.stats.distance_computations
-    report.queue_inserts = wctx.stats.queue_inserts
-    report.max_queue_size = wctx.stats.max_queue_size
+    report.counters = wctx.stats.traversal_counters()
     return report
 
 
@@ -350,15 +360,8 @@ def parallel_k_closest_pairs(
     that sets ``supports_parallel``.
     """
     spec = request.spec
-    ctx = CPQContext(
-        tree_p,
-        tree_q,
-        request.k,
-        request.metric,
-        cancel_check=cancel_check,
-        tracer=tracer,
-        range_spec=request.range,
-        color_spec=request.colors,
+    ctx = CPQContext.for_request(
+        tree_p, tree_q, request, cancel_check=cancel_check, tracer=tracer
     )
     if ctx.root_p is None or ctx.root_q is None:
         return ctx.result(spec.label)
@@ -375,12 +378,7 @@ def parallel_k_closest_pairs(
         for report in reports:
             for pair in report.pairs:
                 ctx.kheap.offer(pair)
-            ctx.stats.node_pairs_visited += report.node_pairs_visited
-            ctx.stats.distance_computations += report.distance_computations
-            ctx.stats.queue_inserts += report.queue_inserts
-            ctx.stats.max_queue_size = max(
-                ctx.stats.max_queue_size, report.max_queue_size
-            )
+            ctx.stats.fold_traversal(report.counters)
         completed = sum(r.tasks_completed for r in reports)
         info = ctx.stats.extra.setdefault("parallel", {})
         info.update(
@@ -402,7 +400,9 @@ def parallel_k_closest_pairs(
                     span.annotate(
                         tasks_completed=report.tasks_completed,
                         pairs=len(report.pairs),
-                        node_pairs_visited=report.node_pairs_visited,
+                        node_pairs_visited=report.counters[
+                            "node_pairs_visited"
+                        ],
                         publishes=report.publishes,
                     )
                 span.duration_ms = round(report.wall_ms, 3)

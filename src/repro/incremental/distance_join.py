@@ -95,17 +95,10 @@ def incremental_distance_join(
 
     def _sync() -> None:
         nonlocal base_p, base_q
-        cur_p = tree_p.stats.snapshot()
-        cur_q = tree_q.stats.snapshot()
-        stats.disk_accesses += (
-            (cur_p.disk_reads - base_p.disk_reads)
-            + (cur_q.disk_reads - base_q.disk_reads)
-        )
-        stats.buffer_hits += (
-            (cur_p.buffer_hits - base_p.buffer_hits)
-            + (cur_q.buffer_hits - base_q.buffer_hits)
-        )
-        base_p, base_q = cur_p, cur_q
+        stats.merge_io(tree_p.stats.since(base_p),
+                       tree_q.stats.since(base_q))
+        base_p = tree_p.stats.snapshot()
+        base_q = tree_q.stats.snapshot()
 
     tie_sign = 1 if tie_policy == DEPTH_FIRST else -1
     bound_heap = KHeap(k_bound) if k_bound is not None else None

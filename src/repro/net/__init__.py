@@ -26,7 +26,7 @@ from repro.net.faults import (
     ShardTransport,
 )
 from repro.net.frames import FrameError, decode_frame, encode_frame
-from repro.net.retry import HedgePolicy, RetryPolicy
+from repro.net.retry import SHARD_RETRY_POLICY, HedgePolicy, RetryPolicy
 from repro.net.server import NetServer
 from repro.net.shard import ShardManager, TreeSpec, tree_spec
 from repro.net.wire import (
@@ -45,6 +45,7 @@ from repro.net.wire import (
 
 __all__ = [
     "SCHEDULES",
+    "SHARD_RETRY_POLICY",
     "SQLRequest",
     "WIRE_VERSION",
     "FaultyClientTransport",

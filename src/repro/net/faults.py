@@ -20,7 +20,8 @@ transport seam of :class:`~repro.net.shard.ShardManager`:
 
 Everything is deterministic given ``(plan.seed, operation sequence)``
 -- one private :class:`random.Random` drives all decisions, exactly
-like the storage injector -- so a chaos run that found a divergence
+like the storage injector, whose plan, stats, loss-streak and bit-flip
+parts this module reuses -- so a chaos run that found a divergence
 can be replayed.  ``max_consecutive`` bounds back-to-back losses per
 shard and ``max_kills`` bounds process kills per transport lifetime,
 which is what makes every bundled schedule *survivable*: a retry
@@ -35,13 +36,19 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, ClassVar, Dict, Tuple
 
 from repro.net.frames import _HEADER
+from repro.storage.faults import (
+    FaultStatsBase,
+    LossStreaks,
+    PlanBase,
+    with_bit_flipped,
+)
 
 
 @dataclass(frozen=True)
-class NetFaultPlan:
+class NetFaultPlan(PlanBase):
     """One named wire-fault schedule: probabilities and shapes.
 
     All probabilities are per-message.  ``stall_s`` is how late a
@@ -52,7 +59,6 @@ class NetFaultPlan:
     starved.
     """
 
-    seed: int = 0
     #: Probability a message (job or reply) is silently dropped.
     p_drop: float = 0.0
     #: Probability a message is delivered ``stall_s`` late.
@@ -64,21 +70,13 @@ class NetFaultPlan:
     p_corrupt: float = 0.0
     #: Probability a job's shard process is killed mid-request.
     p_kill: float = 0.0
-    #: Upper bound on back-to-back losses charged to one shard.
-    max_consecutive: int = 2
     #: Upper bound on process kills per transport lifetime.
     max_kills: int = 3
 
     def __post_init__(self) -> None:
-        for name in ("p_drop", "p_stall", "p_truncate", "p_corrupt",
-                     "p_kill"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
+        super().__post_init__()
         if self.stall_s < 0:
             raise ValueError("stall_s must be >= 0")
-        if self.max_consecutive < 1:
-            raise ValueError("max_consecutive must be >= 1")
         if self.max_kills < 0:
             raise ValueError("max_kills must be >= 0")
 
@@ -101,8 +99,10 @@ SCHEDULES: Dict[str, NetFaultPlan] = {
 
 
 @dataclass
-class NetFaultStats:
+class NetFaultStats(FaultStatsBase):
     """Counters of what the transport actually injected."""
+
+    OPERATIONS: ClassVar[Tuple[str, ...]] = ("sends", "deliveries")
 
     sends: int = 0
     deliveries: int = 0
@@ -111,24 +111,6 @@ class NetFaultStats:
     truncated_frames: int = 0
     corrupt_frames: int = 0
     kills: int = 0
-
-    @property
-    def injected(self) -> int:
-        """Total injected faults of any kind."""
-        return (self.drops + self.stalls + self.truncated_frames
-                + self.corrupt_frames + self.kills)
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "sends": self.sends,
-            "deliveries": self.deliveries,
-            "drops": self.drops,
-            "stalls": self.stalls,
-            "truncated_frames": self.truncated_frames,
-            "corrupt_frames": self.corrupt_frames,
-            "kills": self.kills,
-            "injected": self.injected,
-        }
 
 
 def truncate_frame(frame: bytes, rng: random.Random) -> bytes:
@@ -141,13 +123,10 @@ def truncate_frame(frame: bytes, rng: random.Random) -> bytes:
 
 def corrupt_frame(frame: bytes, rng: random.Random) -> bytes:
     """Flip one random payload bit of a frame (CRC must catch it)."""
-    image = bytearray(frame)
     # Flip inside the CRC-covered region (length + payload) so the
     # damage is always the checksum's to catch, never the magic's.
     start = 2  # past the magic
-    bit = rng.randrange(start * 8, len(image) * 8)
-    image[bit // 8] ^= 1 << (bit % 8)
-    return bytes(image)
+    return with_bit_flipped(frame, rng.randrange(start * 8, len(frame) * 8))
 
 
 class ShardTransport:
@@ -187,25 +166,10 @@ class FaultyShardTransport(ShardTransport):
         self.plan = plan
         self.faults = NetFaultStats()
         self._rng = random.Random(plan.seed)
-        self._lock = threading.Lock()
-        self._consecutive: Dict[int, int] = {}
+        #: Loss streaks per shard id (drops, stalls and kills charge).
+        self._streaks = LossStreaks(plan.max_consecutive)
         self._timers: set = set()
         self._closed = False
-
-    # -- loss-streak bookkeeping ------------------------------------------
-
-    def _lose(self, shard_id: int) -> bool:
-        """Charge one loss to a shard; False when the streak cap hit."""
-        with self._lock:
-            streak = self._consecutive.get(shard_id, 0)
-            if streak >= self.plan.max_consecutive:
-                return False
-            self._consecutive[shard_id] = streak + 1
-            return True
-
-    def _clean(self, shard_id: int) -> None:
-        with self._lock:
-            self._consecutive.pop(shard_id, None)
 
     def _later(self, delay_s: float, action: Callable[[], None]) -> None:
         def fire() -> None:
@@ -230,7 +194,7 @@ class FaultyShardTransport(ShardTransport):
         roll_drop = plan.p_drop and rng.random() < plan.p_drop
         roll_stall = plan.p_stall and rng.random() < plan.p_stall
         if roll_kill and self.faults.kills < plan.max_kills \
-                and self._lose(shard.shard_id):
+                and self._streaks.charge(shard.shard_id):
             # Mid-request: the job arrives, then the process dies
             # under it -- the shard never replies and the supervisor
             # must respawn it.
@@ -240,15 +204,15 @@ class FaultyShardTransport(ShardTransport):
             if process is not None:
                 process.kill()
             return
-        if roll_drop and self._lose(shard.shard_id):
+        if roll_drop and self._streaks.charge(shard.shard_id):
             self.faults.drops += 1
             return
-        if roll_stall and self._lose(shard.shard_id):
+        if roll_stall and self._streaks.charge(shard.shard_id):
             self.faults.stalls += 1
             inbox = shard.inbox
             self._later(plan.stall_s, lambda: inbox.put(message))
             return
-        self._clean(shard.shard_id)
+        self._streaks.clear(shard.shard_id)
         shard.inbox.put(message)
 
     def deliver(self, message, deliver: Callable[[tuple], None]) -> None:
@@ -256,11 +220,11 @@ class FaultyShardTransport(ShardTransport):
         plan, rng = self.plan, self._rng
         shard_id = _reply_shard_id(message)
         if plan.p_drop and rng.random() < plan.p_drop \
-                and self._lose(shard_id):
+                and self._streaks.charge(shard_id):
             self.faults.drops += 1
             return
         if plan.p_stall and rng.random() < plan.p_stall \
-                and self._lose(shard_id):
+                and self._streaks.charge(shard_id):
             self.faults.stalls += 1
             self._later(plan.stall_s, lambda: deliver(message))
             return
@@ -273,7 +237,7 @@ class FaultyShardTransport(ShardTransport):
             elif plan.p_corrupt and rng.random() < plan.p_corrupt:
                 self.faults.corrupt_frames += 1
                 message = message[:-1] + (corrupt_frame(frame, rng),)
-        self._clean(shard_id)
+        self._streaks.clear(shard_id)
         deliver(message)
 
     def close(self) -> None:
@@ -308,21 +272,22 @@ class FaultyClientTransport:
         self.plan = plan
         self.faults = NetFaultStats()
         self._rng = random.Random(plan.seed)
-        self._consecutive = 0
+        #: One connection, one streak key: only drops charge it, and
+        #: any send that gets through (stalled or not) resets it.
+        self._streaks = LossStreaks(plan.max_consecutive)
         self._sleep = sleep
 
     def before_send(self) -> None:
         self.faults.sends += 1
         plan, rng = self.plan, self._rng
         if plan.p_drop and rng.random() < plan.p_drop \
-                and self._consecutive < plan.max_consecutive:
-            self._consecutive += 1
+                and self._streaks.charge(None):
             self.faults.drops += 1
             raise ConnectionError("injected connection drop")
         if plan.p_stall and rng.random() < plan.p_stall:
             self.faults.stalls += 1
             self._sleep(plan.stall_s)
-        self._consecutive = 0
+        self._streaks.clear(None)
 
     def transform_response(self, body: bytes) -> bytes:
         self.faults.deliveries += 1
@@ -332,8 +297,5 @@ class FaultyClientTransport:
             return body[:rng.randrange(0, len(body))]
         if plan.p_corrupt and rng.random() < plan.p_corrupt and body:
             self.faults.corrupt_frames += 1
-            image = bytearray(body)
-            bit = rng.randrange(len(image) * 8)
-            image[bit // 8] ^= 1 << (bit % 8)
-            return bytes(image)
+            return with_bit_flipped(body, rng.randrange(len(body) * 8))
         return body

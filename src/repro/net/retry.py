@@ -1,16 +1,15 @@
 """Retry and hedging policies for the coordinator's shard attempts.
 
-Both policies are deliberately small frozen dataclasses, mirroring the
-storage tier's :class:`repro.storage.buffer.RetryPolicy` one layer up:
-the *storage* policy governs re-reading a page from one device, this
-module governs re-dispatching an idempotent chunk of a scatter-gather
-query across shard processes.  Chunks are safe to duplicate -- a shard
-executes them read-only against a pinned snapshot generation and the
+The storage tier's :class:`repro.storage.buffer.RetryPolicy` governs
+both retrying tiers: re-reading a page from one device, and -- here --
+re-dispatching an idempotent chunk of a scatter-gather query across
+shard processes.  Chunks are safe to duplicate -- a shard executes
+them read-only against a pinned snapshot generation and the
 coordinator deduplicates replies by attempt id, accepting exactly one
 payload per chunk -- which is what makes both retries and hedges sound
 (see ``docs/NETWORK.md``).
 
-:class:`RetryPolicy` shapes *when to give up and try elsewhere*:
+:data:`SHARD_RETRY_POLICY` shapes *when to give up and try elsewhere*:
 exponential backoff with seeded jitter so a thundering herd of
 retries against a sick shard decorrelates, bounded by
 ``max_attempts`` per chunk.
@@ -25,51 +24,17 @@ rather than not at all.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
+from repro.storage.buffer import RetryPolicy
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff with jitter for idempotent shard chunks.
-
-    ``max_attempts`` counts every dispatch of one chunk (the first
-    attempt included); ``delay(n)`` is slept before re-dispatch number
-    ``n`` (1-based over *failures*, so the first retry waits roughly
-    ``base_delay_s``).  Jitter is drawn from the caller's seeded RNG:
-    deterministic schedules stay deterministic.
-    """
-
-    max_attempts: int = 3
-    base_delay_s: float = 0.02
-    multiplier: float = 2.0
-    max_delay_s: float = 0.5
-    #: Fraction of the computed delay randomised away (0 disables).
-    jitter: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.base_delay_s < 0 or self.max_delay_s < 0:
-            raise ValueError("delays must be >= 0")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-
-    def delay(self, failures: int,
-              rng: Optional[random.Random] = None) -> float:
-        """Backoff before the retry following this many failures."""
-        if failures < 1:
-            return 0.0
-        delay = min(
-            self.max_delay_s,
-            self.base_delay_s * (self.multiplier ** (failures - 1)),
-        )
-        if self.jitter and rng is not None:
-            delay *= 1.0 - self.jitter * rng.random()
-        return delay
+#: The shard-chunk schedule: 3 dispatches per chunk, 20 ms doubling to
+#: a 0.5 s cap, half of each wait randomised away by the coordinator's
+#: seeded RNG.
+SHARD_RETRY_POLICY = RetryPolicy(
+    max_attempts=3, base_delay_s=0.02, max_delay_s=0.5, jitter=0.5
+)
 
 
 @dataclass(frozen=True)

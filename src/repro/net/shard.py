@@ -17,14 +17,14 @@ scatter-gather:
    partition-time metric bound.
 2. **Scatter**: the sorted frontier is dealt round-robin (``i::n``,
    staying sorted) into per-shard *chunks*; each chunk is dispatched
-   as an independent, idempotent attempt -- page-id pairs plus the
-   initial bound (the cross-process
-   :class:`~repro.core.parallel.SharedBound` publication, exactly like
-   the PR 4 process mode).
+   as an independent, idempotent attempt -- ``(page_p, page_q,
+   minmin)`` triples plus the partition-time bound, which seeds each
+   shard's local bound.
 3. **Gather**: each shard runs the unmodified serial algorithm per
-   task (stopping early once the chunk's ascending MINMINDIST exceeds
-   its local bound) and ships back its K-heap pairs and counters in a
-   CRC frame (:mod:`repro.net.frames`).
+   task through :func:`~repro.core.parallel.run_chunk` (stopping early
+   once the chunk's ascending MINMINDIST exceeds its local bound) and
+   ships back its K-heap pairs and counters in a CRC frame
+   (:mod:`repro.net.frames`).
 4. **Merge**: the coordinator re-offers every returned pair to its
    canonical K-heap (:mod:`repro.core.kheap`), whose total-order
    tie-breaking makes the merged result a pure function of the offered
@@ -44,7 +44,8 @@ and dropped, never merged twice.  On top of that contract:
   when one is set), so a silently lost frame costs one attempt, not
   the whole budget.
 * **Retries** re-dispatch a failed chunk to another shard under an
-  exponential-backoff-with-jitter :class:`~repro.net.retry.RetryPolicy`.
+  exponential-backoff-with-jitter
+  :data:`~repro.net.retry.SHARD_RETRY_POLICY`.
 * **Hedging** duplicates a chunk to a sibling shard once its only
   live attempt has been outstanding longer than a trailing latency
   quantile (:class:`~repro.net.retry.HedgePolicy`); first reply wins.
@@ -83,14 +84,14 @@ import itertools
 import random
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.engine import CPQContext, traced_traversal
-from repro.core.parallel import PartitionTask, partition_tasks
+from repro.core.parallel import PartitionTask, partition_tasks, run_chunk
 from repro.core.result import CPQResult
 from repro.net.frames import FrameError, decode_frame, encode_frame
-from repro.net.retry import HedgePolicy, RetryPolicy
+from repro.net.retry import SHARD_RETRY_POLICY, HedgePolicy, RetryPolicy
 from repro.rtree.tree import RTree
 from repro.service.breaker import CircuitBreaker
 from repro.storage.store import FilePageStore
@@ -126,7 +127,8 @@ class TreeSpec:
     keeps committing batches.  ``read_latency`` models the device seek
     exactly as :class:`~repro.storage.paged_file.PagedFile` does
     (benchmarks use it to put shards in the disk-bound regime);
-    ``use_mmap`` reopens the store with the mmap read path.
+    ``use_mmap`` reopens the store with the mmap read path and
+    ``allow_legacy_pages`` accepts version-0 (pre-checksum) pages.
     """
 
     path: str
@@ -135,6 +137,7 @@ class TreeSpec:
     buffer_capacity: int = 64
     read_latency: float = 0.0
     use_mmap: bool = False
+    allow_legacy_pages: bool = False
 
     @property
     def generation(self) -> int:
@@ -156,6 +159,7 @@ class TreeSpec:
             readonly=True,
             buffer_capacity=self.buffer_capacity,
             read_latency=self.read_latency,
+            allow_legacy_pages=self.allow_legacy_pages,
         )
 
 
@@ -195,6 +199,7 @@ def tree_spec(tree: RTree, buffer_capacity: Optional[int] = None,
         read_latency=(tree.file.read_latency
                       if read_latency is None else read_latency),
         use_mmap=use_mmap,
+        allow_legacy_pages=tree.config.allow_legacy_pages,
     )
 
 
@@ -208,42 +213,22 @@ def _worker_query(tree_p: RTree, tree_q: RTree, request, tasks,
     before_p = tree_p.stats.snapshot()
     before_q = tree_q.stats.snapshot()
     try:
-        ctx = CPQContext(
-            tree_p, tree_q, request.k, request.metric,
-            range_spec=request.range, color_spec=request.colors,
-        )
+        ctx = CPQContext.for_request(tree_p, tree_q, request)
         ctx.bound = initial_bound
         if request.deadline_ms is not None:
             from repro.core.api import _deadline_probe
 
             ctx.cancel_check = _deadline_probe(request.deadline_ms)
-        runner = request.spec.runner
-        completed = 0
-        for page_p, page_q, minmin in tasks:
-            if minmin > ctx.t:
-                break  # chunk is ascending: the rest are no better
-            ctx.root_p = tree_p.read_node(page_p)
-            ctx.root_q = tree_q.read_node(page_q)
-            runner(ctx, request)
-            completed += 1
-        after_p = tree_p.stats.snapshot()
-        after_q = tree_q.stats.snapshot()
+        completed = run_chunk(ctx, request, tasks)
+        io = tree_p.stats.since(before_p)
+        io.add(tree_q.stats.since(before_q))
         return {
             "ok": True,
             "pairs": ctx.kheap.sorted_pairs(),
             "tasks_completed": completed,
-            "node_pairs_visited": ctx.stats.node_pairs_visited,
-            "distance_computations": ctx.stats.distance_computations,
-            "queue_inserts": ctx.stats.queue_inserts,
-            "max_queue_size": ctx.stats.max_queue_size,
-            "disk_reads": (
-                (after_p.disk_reads - before_p.disk_reads)
-                + (after_q.disk_reads - before_q.disk_reads)
-            ),
-            "buffer_hits": (
-                (after_p.buffer_hits - before_p.buffer_hits)
-                + (after_q.buffer_hits - before_q.buffer_hits)
-            ),
+            **ctx.stats.traversal_counters(),
+            "disk_reads": io.disk_reads,
+            "buffer_hits": io.buffer_hits,
         }
     except BaseException as exc:  # noqa: BLE001 -- report, don't die
         return {
@@ -387,7 +372,7 @@ class _Chunk:
     __slots__ = ("chunk_id", "tasks", "payload", "attempts", "failures",
                  "hedges", "next_retry_at", "tried", "won_by_hedge")
 
-    def __init__(self, chunk_id: int, tasks: List[PartitionTask]):
+    def __init__(self, chunk_id: int, tasks: List[Tuple[int, int, float]]):
         self.chunk_id = chunk_id
         self.tasks = tasks
         self.payload: Optional[dict] = None
@@ -512,7 +497,7 @@ class ShardManager:
         self.pair = pair
         self.on_failure = on_failure
         self.shard_timeout_s = shard_timeout_s
-        self.retry_policy = retry_policy or RetryPolicy()
+        self.retry_policy = retry_policy or SHARD_RETRY_POLICY
         self.hedge_policy = hedge_policy or HedgePolicy()
         self.attempt_timeout_s = (
             attempt_timeout_s if attempt_timeout_s is not None
@@ -524,16 +509,8 @@ class ShardManager:
         self._mp = multiprocessing.get_context(mp_start_method)
         factory = (breaker_factory if breaker_factory is not None
                    else CircuitBreaker)
-        # Coordinator-side handles: partitioning reads the top levels
-        # only, and the coordinator pays no simulated latency (the
-        # shards own the deep I/O).
         self._coordinator_buffer = coordinator_buffer
-        self.tree_p = TreeSpec(spec_p.path, spec_p.page_size,
-                               spec_p.metadata, coordinator_buffer,
-                               0.0).open()
-        self.tree_q = TreeSpec(spec_q.path, spec_q.page_size,
-                               spec_q.metadata, coordinator_buffer,
-                               0.0).open()
+        self._open_coordinator_trees()
         self._outbox = self._mp.Queue()
         self._shards = [_Shard(i, factory()) for i in range(shards)]
         self._lock = threading.Lock()
@@ -570,6 +547,15 @@ class ShardManager:
             self._supervisor.start()
 
     # -- lifecycle ---------------------------------------------------------
+
+    def _open_coordinator_trees(self) -> None:
+        """Open the coordinator's handles on the current specs: no
+        simulated latency, as partitioning reads only the top levels."""
+        self.tree_p, self.tree_q = (
+            replace(spec, buffer_capacity=self._coordinator_buffer,
+                    read_latency=0.0, use_mmap=False).open()
+            for spec in (self.spec_p, self.spec_q)
+        )
 
     def _count(self, event: str, n: int = 1) -> None:
         with self._lock:
@@ -780,12 +766,7 @@ class ShardManager:
         with self._lock:
             self.spec_p = spec_p
             self.spec_q = spec_q
-        self.tree_p = TreeSpec(spec_p.path, spec_p.page_size,
-                               spec_p.metadata, self._coordinator_buffer,
-                               0.0).open()
-        self.tree_q = TreeSpec(spec_q.path, spec_q.page_size,
-                               spec_q.metadata, self._coordinator_buffer,
-                               0.0).open()
+        self._open_coordinator_trees()
         waits: Dict[int, Tuple[_Shard, int, _CtlWait]] = {}
         respawned: List[int] = []
         for shard in self._shards:
@@ -906,10 +887,9 @@ class ShardManager:
             raise ValueError(
                 f"algorithm {request.algorithm!r} is not shardable"
             )
-        ctx = CPQContext(
-            self.tree_p, self.tree_q, request.k, request.metric,
+        ctx = CPQContext.for_request(
+            self.tree_p, self.tree_q, request,
             cancel_check=cancel_check, tracer=tracer,
-            range_spec=request.range, color_spec=request.colors,
         )
         if ctx.root_p is None or ctx.root_q is None:
             return ctx.result(spec.label)
@@ -946,6 +926,9 @@ class ShardManager:
             # Nothing to scatter: decided before consulting breakers,
             # so no half-open probe slot is ever taken and leaked.
             return
+        # Chunks travel as picklable (page_p, page_q, minmin) triples.
+        pages = [(t.node_p.page_id, t.node_q.page_id, t.minmin)
+                 for t in tasks]
         participants = self._healthy_shards()
         net["shards"] = len(participants)
         if not participants:
@@ -953,11 +936,11 @@ class ShardManager:
             # degrades to local serial execution over the whole
             # frontier (exact, flagged).
             net["local_fallback"] = True
-            self._run_chunk_locally(ctx, request, tasks)
+            run_chunk(ctx, request, pages)
             return
 
         n = len(participants)
-        chunks = [_Chunk(i, tasks[i::n]) for i in range(n)]
+        chunks = [_Chunk(i, pages[i::n]) for i in range(n)]
         req_id = next(self._req_ids)
         gather = _Gather()
         with self._lock:
@@ -1013,14 +996,7 @@ class ShardManager:
                 self._count("hedge_wins")
             for pair in payload["pairs"]:
                 ctx.kheap.offer(pair)
-            ctx.stats.node_pairs_visited += payload["node_pairs_visited"]
-            ctx.stats.distance_computations += (
-                payload["distance_computations"]
-            )
-            ctx.stats.queue_inserts += payload["queue_inserts"]
-            ctx.stats.max_queue_size = max(
-                ctx.stats.max_queue_size, payload["max_queue_size"]
-            )
+            ctx.stats.fold_traversal(payload)
             shard_io["disk_reads"] += payload["disk_reads"]
             shard_io["buffer_hits"] += payload["buffer_hits"]
         # Shards count their own I/O; fold it into the query's stats
@@ -1031,8 +1007,10 @@ class ShardManager:
 
         if undelivered:
             if self.on_failure == "recover":
+                # Coordinator-side recovery: the query's own context
+                # runs the chunk, offering straight into its K-heap.
                 for chunk in undelivered:
-                    self._run_chunk_locally(ctx, request, chunk.tasks)
+                    run_chunk(ctx, request, chunk.tasks)
                     net["recovered_chunks"] += 1
             else:
                 net["partial"] = True
@@ -1055,9 +1033,7 @@ class ShardManager:
         shard.jobs += 1
         message = (
             "query", req_id, chunk.chunk_id, attempt_id, request,
-            [(t.node_p.page_id, t.node_q.page_id, t.minmin)
-             for t in chunk.tasks],
-            initial_bound,
+            chunk.tasks, initial_bound,
         )
         try:
             self._transport.send(shard, message)
@@ -1246,22 +1222,6 @@ class ShardManager:
                                            attempts_by_id)
 
             gather.event.wait(_POLL_S)
-
-    def _run_chunk_locally(self, ctx: CPQContext, request,
-                           chunk: List[PartitionTask]) -> None:
-        """Coordinator-side recovery: execute one chunk serially.
-
-        Offers straight into the query's K-heap; the chunk is
-        MINMINDIST-ascending, so the first task beyond the current
-        bound ends the loop.
-        """
-        runner = request.spec.runner
-        for task in chunk:
-            if task.minmin > ctx.t:
-                break
-            ctx.root_p = self.tree_p.read_node(task.node_p.page_id)
-            ctx.root_q = self.tree_q.read_node(task.node_q.page_id)
-            runner(ctx, request)
 
     def _healthy_shards(self) -> List[_Shard]:
         """Shards whose breaker admits work, respawning dead processes

@@ -32,7 +32,7 @@ that want bytes (the server and client use these).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, ClassVar, Dict, Optional, Tuple, Union
 
 from repro.core.constraints import ColorSpec, RangeSpec
@@ -140,27 +140,12 @@ def encode_request(request: Request) -> Dict[str, Any]:
         )
         # Constraint fields (wire v2) are emitted only when set, so an
         # unconstrained request's envelope stays v1-shaped apart from
-        # the version number.
-        if request.range is not None:
-            out["range"] = {
-                "lo": list(request.range.lo),
-                "hi": list(request.range.hi),
-                "mode": request.range.mode,
-            }
-        if request.colors is not None:
-            colors = request.colors
-            out["colors"] = {
-                "modulus": colors.modulus,
-                "colors_p": (
-                    list(colors.colors_p)
-                    if colors.colors_p is not None else None
-                ),
-                "colors_q": (
-                    list(colors.colors_q)
-                    if colors.colors_q is not None else None
-                ),
-                "distinct": colors.distinct,
-            }
+        # the version number.  Each carries its spec's fields: the dict
+        # form ``RangeSpec.coerce`` / ``ColorSpec.coerce`` decode.
+        for name in ("range", "colors"):
+            spec = getattr(request, name)
+            if spec is not None:
+                out[name] = _json_safe(asdict(spec))
     elif request.kind == "sql":
         out["sql"] = request.sql
     elif request.kind == "knn":
@@ -172,32 +157,6 @@ def encode_request(request: Request) -> Dict[str, Any]:
     else:  # pragma: no cover -- the union above is exhaustive
         raise WireError(f"unknown request kind {request.kind!r}")
     return out
-
-
-def _decode_range_spec(obj: Any) -> Optional[RangeSpec]:
-    """Decode the v2 ``range`` field: ``{"lo", "hi"[, "mode"]}`` or a
-    bare ``[lo, hi]`` pair; absent (v1) means unconstrained."""
-    if obj is None:
-        return None
-    if not isinstance(obj, dict):
-        lo, hi = obj
-        return RangeSpec(tuple(lo), tuple(hi))
-    return RangeSpec(
-        lo=tuple(obj["lo"]),
-        hi=tuple(obj["hi"]),
-        mode=obj.get("mode", "both"),
-    )
-
-
-def _decode_color_spec(obj: Any) -> Optional[ColorSpec]:
-    """Decode the v2 ``colors`` field: a dict of :class:`ColorSpec`
-    fields (absent ones take its defaults) or a bare modulus int;
-    absent (v1) means uncolored."""
-    if obj is None:
-        return None
-    if not isinstance(obj, dict):
-        return ColorSpec(modulus=int(obj))
-    return ColorSpec(**obj)
 
 
 def decode_request(obj: Dict[str, Any]) -> Request:
@@ -237,8 +196,8 @@ def decode_request(obj: Dict[str, Any]) -> Request:
                 tie_break=obj.get("tie_break"),
                 maxmax_pruning=bool(obj.get("maxmax_pruning", True)),
                 workers=int(obj.get("workers", 0)),
-                range=_decode_range_spec(obj.get("range")),
-                colors=_decode_color_spec(obj.get("colors")),
+                range=RangeSpec.coerce(obj.get("range")),
+                colors=ColorSpec.coerce(obj.get("colors")),
                 **common,
             )
         if op == "knn":

@@ -247,12 +247,7 @@ def rcp_k_closest_pairs(ctx: CPQContext, request) -> CPQResult:
                 kprime=kprime,
             ),
         )
-        ctx.stats.node_pairs_visited += inner.stats.node_pairs_visited
-        ctx.stats.distance_computations += inner.stats.distance_computations
-        ctx.stats.queue_inserts += inner.stats.queue_inserts
-        ctx.stats.max_queue_size = max(
-            ctx.stats.max_queue_size, inner.stats.max_queue_size
-        )
+        ctx.stats.fold_traversal(inner.stats.traversal_counters())
         source = "computed"
     for pair in pairs[: request.k]:
         ctx.kheap.offer(pair)

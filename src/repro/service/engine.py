@@ -160,16 +160,8 @@ class CPQRequest:
     def __post_init__(self) -> None:
         # Normalise to the canonical frozen specs up front, so cache
         # keys, plans and wire payloads all see one identity.
-        if self.range is not None and not isinstance(self.range, RangeSpec):
-            lo, hi = self.range
-            object.__setattr__(self, "range", RangeSpec(tuple(lo), tuple(hi)))
-        if self.colors is not None and not isinstance(self.colors, ColorSpec):
-            if isinstance(self.colors, dict):
-                object.__setattr__(self, "colors", ColorSpec(**self.colors))
-            else:
-                object.__setattr__(
-                    self, "colors", ColorSpec(modulus=int(self.colors))
-                )
+        object.__setattr__(self, "range", RangeSpec.coerce(self.range))
+        object.__setattr__(self, "colors", ColorSpec.coerce(self.colors))
 
     def to_query(self, algorithm: Optional[str] = None,
                  workers: Optional[int] = None) -> core_api.CPQRequest:
@@ -1008,20 +1000,8 @@ class QueryService:
             pair.breaker.release_probe()
             raise
         pair.breaker.record_success()
-        after_p = pair.tree_p.stats.snapshot()
-        after_q = pair.tree_q.stats.snapshot()
-        disk_reads = (
-            (after_p.disk_reads - before_p.disk_reads)
-            + (after_q.disk_reads - before_q.disk_reads)
-        )
-        buffer_hits = (
-            (after_p.buffer_hits - before_p.buffer_hits)
-            + (after_q.buffer_hits - before_q.buffer_hits)
-        )
-        read_retries = (
-            (after_p.read_retries - before_p.read_retries)
-            + (after_q.read_retries - before_q.read_retries)
-        )
+        io = pair.tree_p.stats.since(before_p)
+        io.add(pair.tree_q.stats.since(before_q))
         # A sharded execution that lost shards and could not recover
         # their partitions flags the result partial; such a result is
         # *not* cached (it is not the true answer for the key).
@@ -1049,8 +1029,8 @@ class QueryService:
         return QueryResponse(
             status=STATUS_OK, kind=request.kind,
             result=result, algorithm=algorithm, plan=plan,
-            disk_reads=disk_reads, buffer_hits=buffer_hits,
-            read_retries=read_retries, partial=partial,
+            disk_reads=io.disk_reads, buffer_hits=io.buffer_hits,
+            read_retries=io.read_retries, partial=partial,
         )
 
     def _run_cpq(

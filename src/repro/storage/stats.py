@@ -8,7 +8,8 @@ and reset it between queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Dict, Mapping
 
 
 @dataclass
@@ -61,6 +62,11 @@ class IOStats:
             self.corrupt_reads,
         )
 
+    def since(self, before: "IOStats") -> "IOStats":
+        """The counter deltas since the ``before`` snapshot."""
+        return IOStats(*(getattr(self, f.name) - getattr(before, f.name)
+                         for f in fields(self)))
+
     def add(self, other: "IOStats") -> None:
         """Accumulate another counter set into this one."""
         self.buffer_hits += other.buffer_hits
@@ -92,6 +98,25 @@ class QueryStats:
     #: Candidate pairs inserted into the algorithm's queue/heap.
     queue_inserts: int = 0
     extra: dict = field(default_factory=dict)
+
+    def traversal_counters(self) -> Dict[str, int]:
+        """A partial execution's (worker's, shard chunk's) traversal
+        counters, for :meth:`fold_traversal`."""
+        return {
+            "node_pairs_visited": self.node_pairs_visited,
+            "distance_computations": self.distance_computations,
+            "queue_inserts": self.queue_inserts,
+            "max_queue_size": self.max_queue_size,
+        }
+
+    def fold_traversal(self, counters: Mapping[str, int]) -> None:
+        """Add one partial execution's :meth:`traversal_counters`
+        (the queue size takes the maximum)."""
+        self.node_pairs_visited += counters["node_pairs_visited"]
+        self.distance_computations += counters["distance_computations"]
+        self.queue_inserts += counters["queue_inserts"]
+        self.max_queue_size = max(self.max_queue_size,
+                                  counters["max_queue_size"])
 
     def merge_io(self, *stats: IOStats) -> None:
         """Add per-tree I/O counters into the aggregate."""

@@ -148,8 +148,8 @@ class FilePageStore:
         self.path = path
         self.readonly = readonly
         self.use_mmap = use_mmap
-        # Read-only handles are the parallel executor's process-mode
-        # workers: each opens its own descriptor on the shared file.
+        # Read-only handles are the shard workers': each process opens
+        # its own descriptor on the shared file.
         flags = os.O_RDONLY if readonly else os.O_RDWR | os.O_CREAT
         self._fd = os.open(path, flags, 0o666)
         size = os.fstat(self._fd).st_size

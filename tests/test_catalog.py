@@ -270,3 +270,34 @@ class TestServiceAttachment:
             assert len(response.result.pairs) == 2
         finally:
             service.close()
+
+
+class TestLegacyPages:
+    def test_shard_spec_keeps_legacy_flag(self, catalog, tmp_path):
+        """An entry adopted with ``allow_legacy_pages`` must reach the
+        shard tier with the flag: its ``TreeSpec`` reopens version-0
+        pages exactly as :meth:`Catalog.open_dataset` does."""
+        catalog.register_dataset("orig", _points(120), kind="str")
+        pages = catalog.dataset("orig").index().path
+        page_size = catalog.dataset("orig").index().page_size
+        # Demote every page to a pre-checksum (version 0) image.
+        with open(pages, "r+b") as handle:
+            size = os.path.getsize(pages)
+            for offset in range(0, size, page_size):
+                handle.seek(offset + 8)
+                handle.write(b"\x00" * 8)
+        legacy = Catalog(str(tmp_path / "legacy"))
+        legacy.adopt_pages("old", pages, kind="str",
+                           allow_legacy_pages=True)
+        via_catalog = legacy.open_dataset("old")
+        via_spec = legacy.tree_spec("old").open()
+        try:
+            request = CoreRequest(k=5, algorithm="heap")
+            assert (
+                k_closest_pairs(via_spec, via_spec, request=request).pairs
+                == k_closest_pairs(via_catalog, via_catalog,
+                                   request=request).pairs
+            )
+        finally:
+            via_spec.file.store.close()
+            via_catalog.file.store.close()

@@ -193,6 +193,50 @@ class TestCapabilityGating:
         assert isinstance(request.colors, ColorSpec)
         assert request.colors.modulus == 3
 
+    @pytest.mark.parametrize("value", [
+        RangeSpec((0.0, 1.0), (1.0, 0.0), "p"),
+        {"lo": (1, 1), "hi": (0, 0), "mode": "p"},
+    ])
+    def test_range_coerce_forms(self, value):
+        assert RangeSpec.coerce(value) == RangeSpec((0, 0), (1, 1), "p")
+
+    @pytest.mark.parametrize("value", [
+        ((1, 1), (0, 0)), [[0, 1], [1, 0]], {"lo": [0, 0], "hi": [1, 1]},
+    ])
+    def test_range_coerce_shorthand(self, value):
+        assert RangeSpec.coerce(value) == RangeSpec((0, 0), (1, 1))
+
+    @pytest.mark.parametrize("value", [
+        ColorSpec(modulus=3), {"modulus": 3}, 3, "3",
+    ])
+    def test_color_coerce_forms(self, value):
+        assert ColorSpec.coerce(value) == ColorSpec(modulus=3)
+
+    def test_coerce_passes_none(self):
+        assert RangeSpec.coerce(None) is None
+        assert ColorSpec.coerce(None) is None
+
+    @pytest.mark.parametrize("coerce, value", [
+        (RangeSpec.coerce, {"hi": [1, 1]}),
+        (RangeSpec.coerce, 5),
+        (RangeSpec.coerce, ((0, 0), (1, 1), (2, 2))),
+        (ColorSpec.coerce, {"modulus": 3, "shade": 1}),
+        (ColorSpec.coerce, [3]),
+    ])
+    def test_coerce_rejects_malformed(self, coerce, value):
+        with pytest.raises(ValueError):
+            coerce(value)
+
+    def test_core_and_service_requests_share_the_forms(self):
+        from repro.service import CPQRequest as ServiceCPQ
+
+        window = {"lo": [0.5, 0.5], "hi": [0, 0]}
+        core = CPQRequest(range=window, colors={"modulus": 2})
+        service = ServiceCPQ(pair="default", range=window,
+                             colors={"modulus": 2})
+        assert core.range == service.range == RangeSpec((0, 0), (.5, .5))
+        assert core.colors == service.colors == ColorSpec(modulus=2)
+
 
 class TestWireV2:
     def test_constraints_round_trip(self):

@@ -188,7 +188,7 @@ class TestBufferRetry:
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
-            RetryPolicy(backoff_s=-1.0)
+            RetryPolicy(base_delay_s=-1.0)
         with pytest.raises(ValueError):
             RetryPolicy(multiplier=0.5)
 
@@ -664,3 +664,89 @@ class TestServiceResilience:
             assert snapshot["resilience"]["parallel_fallbacks"] == 1
         finally:
             service.close()
+
+
+# ---------------------------------------------------------------------------
+# The chaos command
+# ---------------------------------------------------------------------------
+
+class TestChaosCommand:
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        from repro.datasets import uniform_points
+        from repro.datasets.io import save_points
+
+        left, right = tmp_path / "p.npy", tmp_path / "q.npy"
+        save_points(str(left), uniform_points(300, seed=1))
+        save_points(str(right), uniform_points(250, seed=2))
+        return str(left), str(right)
+
+    def chaos(self, inputs, schedule, capsys):
+        from repro.cli import main
+
+        code = main(["chaos", *inputs, "--schedule", schedule, "--k", "5",
+                     "--buffer", "8", "--algorithms", "heap"])
+        return code, capsys.readouterr()
+
+    def test_injecting_schedule_survives(self, inputs, capsys):
+        code, out = self.chaos(inputs, "transient", capsys)
+        assert code == 0
+        assert "1/1 runs survived" in out.out
+
+    def test_schedule_injecting_nothing_fails(self, inputs, capsys,
+                                              monkeypatch):
+        """A schedule whose faults never fire proves nothing: the run
+        must exit 1 and name it instead of reporting survival."""
+        monkeypatch.setitem(SCHEDULES, "silent", FaultPlan())
+        code, out = self.chaos(inputs, "silent", capsys)
+        assert code == 1
+        assert "'silent'" in out.err
+        assert "injected no fault" in out.err
+
+    def test_none_schedule_needs_no_faults(self, inputs, capsys):
+        code, out = self.chaos(inputs, "none", capsys)
+        assert code == 0
+
+
+class TestLossStreaks:
+    def test_cap_holds_under_contention(self):
+        """Concurrent charges against one key never exceed the cap --
+        a lost update in the read-modify-write would."""
+        import sys
+
+        from repro.storage.faults import LossStreaks
+
+        streaks = LossStreaks(cap=3)
+        granted = []
+        start = threading.Barrier(8)
+
+        def worker():
+            start.wait(timeout=10)
+            granted.append(sum(streaks.charge("shard") for __ in range(500)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for __ in range(20):
+                granted.clear()
+                threads = [threading.Thread(target=worker)
+                           for __ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert sum(granted) == 3
+                streaks.clear("shard")
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_clear_resets_one_key(self):
+        from repro.storage.faults import LossStreaks
+
+        streaks = LossStreaks(cap=1)
+        assert streaks.charge(0) and streaks.charge(1)
+        assert not streaks.charge(0)
+        streaks.clear(0)
+        assert streaks.charge(0)
+        assert not streaks.charge(1)

@@ -30,7 +30,7 @@ from repro.net.faults import (
     truncate_frame,
 )
 from repro.net.frames import FrameError, decode_frame, encode_frame
-from repro.net.retry import HedgePolicy, RetryPolicy
+from repro.net.retry import SHARD_RETRY_POLICY, HedgePolicy, RetryPolicy
 from repro.net.shard import ShardManager, tree_spec
 from repro.rtree.bulk import bulk_load
 from repro.storage.paged_file import PagedFile
@@ -44,7 +44,7 @@ FAST = dict(
     shard_timeout_s=20.0,
     attempt_timeout_s=0.4,
     retry_policy=RetryPolicy(max_attempts=4, base_delay_s=0.01,
-                             max_delay_s=0.05),
+                             max_delay_s=0.05, jitter=0.5),
     probe_interval_s=0.1,
 )
 
@@ -108,7 +108,7 @@ class TestPlans:
         # Every schedule's worst loss streak fits inside the default
         # retry budget, and kills are capped -- the properties the
         # module docstring promises.
-        policy = RetryPolicy()
+        policy = SHARD_RETRY_POLICY
         for name, plan in SCHEDULES.items():
             assert plan.max_consecutive < policy.max_attempts, name
             assert plan.max_kills <= 3, name
@@ -217,7 +217,8 @@ class TestSelfHealing:
             spec_p, spec_q, shards=2,
             transport=_StallShardZero(stall_s=0.6),
             shard_timeout_s=20.0, attempt_timeout_s=5.0,
-            retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.01),
+            retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.01,
+                                     max_delay_s=0.5, jitter=0.5),
             hedge_policy=HedgePolicy(floor_s=0.05, min_samples=64),
         ) as manager:
             result = manager.execute(CPQRequest(k=10, algorithm="heap"))
