@@ -1,18 +1,21 @@
 #!/usr/bin/env python
 """Node-expansion kernel microbenchmark: NumPy kernels vs. scalar oracle.
 
-Times the four pairwise kernels the CPQ engine runs per node pair --
-MINMINDIST, MINMAXDIST, MAXMAXDIST over entry-MBR arrays and the
-leaf x leaf point-distance matrix -- as the NumPy batch kernels of
-:mod:`repro.geometry.vectorized` (the engine's only path) against a
-per-pair loop over :mod:`repro.geometry.metrics`, the scalar oracle
-the kernels are tested against.  The scalar column is that oracle
-loop, not an engine path.
+Times the pairwise kernels the CPQ engine runs per node pair -- the
+fused node-pair kernel (MINMINDIST, MINMAXDIST and MAXMAXDIST in one
+call, what SIM/STD/HEAP run), each of the three on its own (EXH runs
+MINMINDIST alone) and the leaf x leaf point-distance matrix -- as the
+NumPy batch kernels of :mod:`repro.geometry.vectorized` (the engine's
+only path) against a per-pair loop over :mod:`repro.geometry.metrics`,
+the scalar oracle the kernels are tested against.  The scalar column
+is that oracle loop, not an engine path.
 
 The workload is the paper's node shape: M = 21 entries per node
-(1 KiB pages, d = 2), i.e. 441 entry pairs per kernel call.  Besides
-timing, every run asserts the kernels and the oracle agree *bitwise*
-(the contract ``tests/test_kernel_parity.py`` pins).
+(1 KiB pages, d = 2), i.e. 441 entry pairs per kernel call, in the
+layout R-tree nodes hand the engine (``(n, k)`` transposed views of
+C-contiguous ``(k, n)`` arrays).  Besides timing, every run asserts
+the kernels and the oracle agree *bitwise* (the contract
+``tests/test_kernel_parity.py`` pins).
 
 Exit status is the CI gate: nonzero when any kernel's speedup falls
 below ``--min-speedup`` (default 1.0, i.e. "vectorised must not be
@@ -41,6 +44,7 @@ from repro.geometry import metrics as scalar_metrics
 from repro.geometry.mbr import MBR
 from repro.geometry.minkowski import EUCLIDEAN
 from repro.geometry.vectorized import (
+    node_pair_bounds,
     pairwise_maxdist,
     pairwise_mindist,
     pairwise_minmaxdist,
@@ -53,7 +57,8 @@ M = 21
 
 
 def _make_nodes(seed: int) -> Tuple[np.ndarray, ...]:
-    """Two synthetic M-entry nodes: MBR arrays plus leaf points."""
+    """Two synthetic M-entry nodes: MBR arrays plus leaf points, each
+    in the nodes' coordinate-major layout."""
     rng = np.random.default_rng(seed)
     lo_p = rng.random((M, 2))
     hi_p = lo_p + rng.random((M, 2)) * 0.05
@@ -61,7 +66,8 @@ def _make_nodes(seed: int) -> Tuple[np.ndarray, ...]:
     hi_q = lo_q + rng.random((M, 2)) * 0.05
     pts_p = rng.random((M, 2))
     pts_q = rng.random((M, 2))
-    return lo_p, hi_p, lo_q, hi_q, pts_p, pts_q
+    return tuple(np.ascontiguousarray(array.T).T for array in
+                 (lo_p, hi_p, lo_q, hi_q, pts_p, pts_q))
 
 
 def _scalar_rect_matrix(fn, mbrs_p, mbrs_q) -> np.ndarray:
@@ -99,6 +105,14 @@ def run(repeats: int, iterations: int, seed: int) -> Dict[str, dict]:
     mbrs_q = [MBR(tuple(lo), tuple(hi)) for lo, hi in zip(lo_q, hi_q)]
 
     kernels: Dict[str, Tuple[Callable, Callable]] = {
+        "fused": (
+            lambda: np.array([
+                _scalar_rect_matrix(fn, mbrs_p, mbrs_q)
+                for fn in (scalar_metrics.mindist, scalar_metrics.minmaxdist,
+                           scalar_metrics.maxdist)
+            ]),
+            lambda: node_pair_bounds(lo_p, hi_p, lo_q, hi_q, EUCLIDEAN),
+        ),
         "minmin": (
             lambda: _scalar_rect_matrix(scalar_metrics.mindist,
                                         mbrs_p, mbrs_q),

@@ -264,12 +264,13 @@ def estimate_closest_pair_distance(
 #: kernel, in nanoseconds (``benchmarks/bench_kernels.py``, M = 21
 #: nodes, d = 2, Euclidean; re-run it after kernel changes and update
 #: these).  Keys are the :data:`repro.geometry.vectorized.KERNEL_STATS`
-#: kernel names.
+#: kernel names; ``minmax`` is the ``fused`` row less the ``minmin``
+#: and ``maxmax`` rows, as a fused call tallies under all three.
 KERNEL_NS_PER_PAIR = {
-    "minmin": 35.0,
-    "minmax": 127.0,
-    "maxmax": 54.0,
-    "points": 23.0,
+    "minmin": 37.0,
+    "minmax": 75.0,
+    "maxmax": 32.0,
+    "points": 18.0,
 }
 
 

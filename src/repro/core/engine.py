@@ -41,9 +41,8 @@ from repro.core.result import ClosestPair, CPQResult
 from repro.core.ties import CandidateBoxes, TieBreak
 from repro.geometry.minkowski import EUCLIDEAN, MinkowskiMetric
 from repro.geometry.vectorized import (
-    pairwise_maxdist,
+    node_pair_bounds,
     pairwise_mindist,
-    pairwise_minmaxdist,
     pairwise_point_distances,
 )
 from repro.obs.trace import NULL_TRACER, Span
@@ -140,6 +139,8 @@ class CPQContext:
                 tree_p.stats.snapshot(), tree_q.stats.snapshot()
             )
         self.kheap = KHeap(k)
+        #: Minimum node occupancy of each tree (Section 3.8 counts).
+        self.min_entries = (tree_p.min_entries, tree_q.min_entries)
         #: Extra upper bound on the K-th best distance, tightened from
         #: MINMAXDIST / MAXMAXDIST (independent of the K-heap content).
         self.bound = math.inf
@@ -367,11 +368,13 @@ def scan_leaf_pair(ctx: CPQContext, leaf_p: Node, leaf_q: Node) -> None:
             if not mask.any():
                 return
             distances = np.where(mask, distances, np.inf)
-        flat = int(distances.argmin())
-        i, j = divmod(flat, distances.shape[1])
-        d = float(distances[i, j])
+        d = float(distances.min())
         if d <= ctx.t and math.isfinite(d):
-            ctx.offer(leaf_p.entries[i], leaf_q.entries[j], d)
+            # Offer every pair tied at the minimum: the K-heap keeps the
+            # canonical one, whatever the entry order inside the leaves.
+            rows, cols = np.nonzero(distances == d)
+            for i, j in zip(rows.tolist(), cols.tolist()):
+                ctx.offer(leaf_p.entries[i], leaf_q.entries[j], d)
         return
     qualifies = distances <= ctx.t
     if mask is not None:
@@ -456,11 +459,7 @@ class CandidateSet:
 def _side_arrays(node: Node, expand: bool):
     if expand:
         return node.lo_array(), node.hi_array()
-    mbr = node.mbr()
-    return (
-        np.array([mbr.lo], dtype=float),
-        np.array([mbr.hi], dtype=float),
-    )
+    return node.box_arrays()
 
 
 def _child_pages(node: Node, expand: bool, idx: np.ndarray) -> List[int]:
@@ -487,15 +486,18 @@ def _clip_side_arrays(ctx: CPQContext, lo, hi, constrained: bool):
     return clipped_lo, clipped_hi, infeasible
 
 
-def _guaranteed_points(tree: RTree, node: Node, expanded: bool) -> np.ndarray:
+def _guaranteed_points(
+    tree: RTree, node: Node, expanded: bool, m: Optional[int] = None
+) -> np.ndarray:
     """Minimum number of points under each candidate reference.
 
     A non-root node at level ``l`` holds at least ``m ** (l + 1)``
-    points (minimum occupancy compounds per level).  Children of a
-    visited node are never roots; a fixed side may be the root, for
-    which only weaker guarantees hold.
+    points (minimum occupancy ``m``, by default ``tree.min_entries``,
+    compounds per level).  Children of a visited node are never roots;
+    a fixed side may be the root, for which only weaker guarantees hold.
     """
-    m = tree.min_entries
+    if m is None:
+        m = tree.min_entries
     if expanded:
         # children are non-root nodes at level node.level - 1
         return np.full(len(node.entries), m ** node.level, dtype=float)
@@ -520,17 +522,33 @@ def _kcp_bound_from_maxmax(
     distinct candidates are disjoint, so sorting the guarantees by
     distance and accumulating counts until K are covered yields a valid
     bound on the K-th best distance.
+
+    Values up to any cut are a prefix of that order, so a prefix that
+    covers K gives the same value; the cut, the j-th smallest
+    MAXMAXDIST with j candidates of the lightest weight covering K,
+    usually leaves a few dozen of the 2 x 441 values to sort.
     """
     values = np.concatenate([minmax, maxmax])
     weights = np.concatenate(
         [np.ones_like(minmax), np.maximum(counts - 1.0, 0.0)]
     )
+    j = -(-k // int(1 + weights[len(minmax):].min(initial=k)))
+    if j <= len(maxmax):
+        head = values <= np.partition(maxmax, j - 1)[j - 1]
+        bound = _first_covering(values[head], weights[head], k)
+        if bound < math.inf:
+            return bound
+    return _first_covering(values, weights, k)
+
+
+def _first_covering(values: np.ndarray, weights: np.ndarray, k: int) -> float:
+    """The value at which the weights, accumulated in ascending stable
+    order of ``values``, first reach ``k`` (infinity if they never do)."""
     order = np.argsort(values, kind="stable")
-    cumulative = np.cumsum(weights[order])
-    position = int(np.searchsorted(cumulative, k))
+    position = int(np.searchsorted(np.cumsum(weights[order]), k))
     if position >= len(values):
         return math.inf
-    return float(values[order][position])
+    return float(values[order[position]])
 
 
 def generate_candidates(
@@ -558,7 +576,6 @@ def generate_candidates(
         if options.clip_mindist:
             boxes_p = (clip_lo_p, clip_hi_p)
             boxes_q = (clip_lo_q, clip_hi_q)
-    minmin = pairwise_mindist(*boxes_p, *boxes_q, ctx.metric)
     minmax_matrix = None
     # Constrained queries must not tighten T from MINMAXDIST /
     # MAXMAXDIST: the point pair those bounds guarantee may lie outside
@@ -567,14 +584,17 @@ def generate_candidates(
     # answers.  Only the K-heap threshold (built from qualifying pairs)
     # tightens T; MINMINDIST pruning below stays valid unchanged.
     if options.update_bound and not ctx.constrained:
-        minmax_matrix = pairwise_minmaxdist(lo_p, hi_p, lo_q, hi_q, ctx.metric)
+        minmin, minmax_matrix, maxmax = node_pair_bounds(
+            lo_p, hi_p, lo_q, hi_q, ctx.metric,
+            maxmax=ctx.k > 1 and options.maxmax_k_pruning,
+        )
         if ctx.k == 1:
             ctx.update_bound(float(minmax_matrix.min()))
-        elif options.maxmax_k_pruning:
-            maxmax = pairwise_maxdist(lo_p, hi_p, lo_q, hi_q, ctx.metric)
-            counts = (
-                _guaranteed_points(ctx.tree_p, node_p, expand_p)[:, None]
-                * _guaranteed_points(ctx.tree_q, node_q, expand_q)[None, :]
+        elif maxmax is not None:
+            m_p, m_q = ctx.min_entries
+            counts = np.outer(
+                _guaranteed_points(ctx.tree_p, node_p, expand_p, m_p),
+                _guaranteed_points(ctx.tree_q, node_q, expand_q, m_q),
             )
             ctx.update_bound(
                 _kcp_bound_from_maxmax(
@@ -584,6 +604,8 @@ def generate_candidates(
                     ctx.k,
                 )
             )
+    else:
+        minmin = pairwise_mindist(*boxes_p, *boxes_q, ctx.metric)
 
     flat = minmin.ravel()
     columns = minmin.shape[1]

@@ -12,10 +12,13 @@ and return an ``(n, m)`` matrix for the cross product of the two sides.
 Points are passed as degenerate rectangles or as ``(n, k)`` coordinate
 arrays where noted.
 
-Each kernel loops over the k dimensions on 2-D ``(n, m)`` arrays of
-per-dimension deltas, accumulated left to right as the scalar helpers
-of :mod:`repro.geometry.metrics` do; with k = 2 or 3 and n, m <= M a
-few whole-matrix operations per dimension beat ``(n, m, k)`` tensors.
+Each kernel forms the per-dimension terms of all pairs as one
+``(k, n, m)`` tensor from ``a.T[:, :, None]`` and ``b.T[:, None, :]``
+and sums it over k left to right, as the scalar helpers of
+:mod:`repro.geometry.metrics` do: at n, m <= M the cost is mostly
+per-operation overhead, so whole-tensor operations win.  Nodes hand out
+``(n, k)`` views of C-contiguous ``(k, n)`` arrays, so ``a.T`` is
+contiguous; row-major inputs give the same values, only more slowly.
 
 Every public kernel tallies its invocation into :data:`KERNEL_STATS`
 (calls and entry pairs evaluated), which the service metrics snapshot
@@ -36,7 +39,9 @@ minimum is the best of
 
 All of these are mins and maxes of four absolute bound gaps per
 dimension, ``|lo-lo|``, ``|lo-hi|``, ``|hi-lo|`` and ``|hi-hi|``
-(``|x| == |-x|`` exactly in IEEE arithmetic).
+(``|x| == |-x|`` exactly in IEEE arithmetic), and ``S`` is the powered
+MAXMAXDIST, so :func:`node_pair_bounds` derives all three node-pair
+metrics from one tensor of signed bound gaps.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -58,54 +63,77 @@ class KernelStats:
     pairs it evaluated, so one service metrics snapshot
     (``snapshot()["kernels"]``) shows the real pair counts the cost
     model is recalibrated against.
+
+    Each thread records into its own cell without a lock, and
+    :meth:`snapshot` sums the cells.  A thread's first record folds the
+    cells of exited threads into one retired cell, so their counts stay
+    and the cells follow the live threads, not every thread started.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._counts: Dict[str, list] = {}
+        self._local = threading.local()
+        #: thread -> its {kernel: [calls, pairs]}; None: exited threads
+        self._cells: Dict[Optional[threading.Thread], Dict[str, list]] = {
+            None: {}
+        }
 
     def record(self, kernel: str, pairs: int) -> None:
         """Count one invocation of ``kernel`` covering ``pairs`` pairs."""
+        counts = getattr(self._local, "counts", None)
+        if counts is None:
+            counts = self._local.counts = self._new_cell()
+        cell = counts.get(kernel)
+        if cell is None:
+            cell = counts[kernel] = [0, 0]
+        cell[0] += 1
+        cell[1] += int(pairs)
+
+    def _new_cell(self) -> Dict[str, list]:
         with self._lock:
-            cell = self._counts.setdefault(kernel, [0, 0])
-            cell[0] += 1
-            cell[1] += int(pairs)
+            for thread in [t for t in self._cells
+                           if t is not None and not t.is_alive()]:
+                _add_cell(self._cells[None], self._cells.pop(thread))
+            cell = self._cells[threading.current_thread()] = {}
+        return cell
 
     def snapshot(self) -> Dict[str, Dict[str, int]]:
         """Return ``{kernel: {"calls": c, "pairs": p}}``."""
+        totals: Dict[str, list] = {}
         with self._lock:
-            return {
-                name: {"calls": cell[0], "pairs": cell[1]}
-                for name, cell in sorted(self._counts.items())
-            }
+            for cell in self._cells.values():
+                _add_cell(totals, cell)
+        return {
+            name: {"calls": calls, "pairs": pairs}
+            for name, (calls, pairs) in sorted(totals.items())
+        }
 
     def reset(self) -> None:
         with self._lock:
-            self._counts.clear()
+            for cell in self._cells.values():
+                cell.clear()
+
+
+def _add_cell(totals: Dict[str, list], cell: Dict[str, list]) -> None:
+    """Add the ``[calls, pairs]`` tallies of ``cell`` into ``totals``."""
+    for name, (calls, pairs) in cell.copy().items():
+        total = totals.setdefault(name, [0, 0])
+        total[0] += calls
+        total[1] += pairs
 
 
 #: Shared tally used by all kernels in this module.
 KERNEL_STATS = KernelStats()
 
 
-def _combine(deltas, metric: MinkowskiMetric) -> np.ndarray:
-    """Aggregate per-dimension delta arrays into distances.
-
-    ``deltas`` yields one freshly allocated non-negative array per
-    dimension (all of one shape); they are consumed in place, summed
-    as powers (or maxed, for Chebyshev) left to right.
-    """
-    p = metric.p
-    deltas = iter(deltas)
+def _reduce(terms: np.ndarray, p: float) -> np.ndarray:
+    """Distances from a ``(k, ...)`` tensor of non-negative
+    per-dimension deltas, which it may overwrite: powers summed over
+    the leading axis left to right (maxed, for Chebyshev), by binary
+    ufuncs, which for k <= 3 cost less than a NumPy reduction."""
     if p == math.inf:
-        out = next(deltas)
-        for delta in deltas:
-            np.maximum(out, delta, out=out)
-        return out
-    out = _power(next(deltas), p)
-    for delta in deltas:
-        out += _power(delta, p)
-    return _finish(out, p)
+        return functools.reduce(np.maximum, terms)
+    return _finish(functools.reduce(np.add, _power(terms, p)), p)
 
 
 def _power(deltas: np.ndarray, p: float) -> np.ndarray:
@@ -126,39 +154,62 @@ def _finish(powered: np.ndarray, p: float) -> np.ndarray:
     return powered ** (1.0 / p)
 
 
-def _gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``|a - b|`` as a new array."""
-    out = a - b
-    return np.abs(out, out=out)
+def _differences(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(k, n, m)`` tensor of ``a[i, d] - b[j, d]``."""
+    return a.T[:, :, None] - b.T[:, None, :]
 
 
-def _columns(a: np.ndarray, b: np.ndarray):
-    """Per dimension: the column of ``a`` as ``(n, 1)`` and of ``b`` as
-    ``(1, m)``, so that operations on them broadcast to ``(n, m)``."""
-    return zip(a.T[:, :, None], b.T[:, None, :])
+def _mindist_terms(lo_hi: np.ndarray, hi_lo: np.ndarray) -> np.ndarray:
+    """Per-dimension MINMINDIST deltas ``max(a_lo - b_hi, b_lo - a_hi,
+    0)`` from the gaps ``a_lo - b_hi`` and ``a_hi - b_lo``."""
+    out = np.negative(hi_lo)
+    np.maximum(lo_hi, out, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
-def _aligned(a: np.ndarray, b: np.ndarray):
-    """Per dimension: the columns of ``a`` and ``b``, row by row."""
-    return zip(a.T, b.T)
+def _maxdist(lo_a, hi_a, lo_b, hi_b, p: float) -> np.ndarray:
+    """MAXMAXDIST matrix: per dimension ``max(|a_hi - b_lo|,
+    |a_lo - b_hi|)``."""
+    far = _differences(hi_a, lo_b)
+    np.abs(far, out=far)
+    near = _differences(lo_a, hi_b)
+    np.maximum(far, np.abs(near, out=near), out=far)
+    return _reduce(far, p)
 
 
-def _point_deltas(points_a, points_b):
-    for a, b in _columns(points_a, points_b):
-        yield _gap(a, b)
-
-
-def _mindist_deltas(lo_a, hi_a, lo_b, hi_b, columns=_columns):
-    for (a_lo, b_hi), (a_hi, b_lo) in zip(columns(lo_a, hi_b),
-                                          columns(hi_a, lo_b)):
-        yield np.maximum(np.maximum(a_lo - b_hi, b_lo - a_hi), 0.0)
-
-
-def _maxdist_deltas(lo_a, hi_a, lo_b, hi_b):
-    for (a_hi, b_lo), (a_lo, b_hi) in zip(_columns(hi_a, lo_b),
-                                          _columns(lo_a, hi_b)):
-        out = _gap(a_hi, b_lo)
-        yield np.maximum(out, _gap(b_hi, a_lo), out=out)
+def _node_bounds(lo_a, hi_a, lo_b, hi_b, p: float):
+    """Untallied ``(minmin, minmax, maxmax)`` matrices, all from one
+    ``(2, 2, k, n, m)`` tensor ``g[i, j] = bound_i(a) - bound_j(b)``
+    (bound 0 is ``lo``, bound 1 ``hi``)."""
+    gaps = (np.array((lo_a.T, hi_a.T))[:, None, :, :, None]
+            - np.array((lo_b.T, hi_b.T))[None, :, :, None, :])
+    minmin = _reduce(_mindist_terms(gaps[0, 1], gaps[1, 0]), p)
+    ll, lh, hl, hh = np.abs(gaps, out=gaps).reshape((4,) + gaps.shape[2:])
+    if p == math.inf:
+        return (minmin, _minmaxdist_faces(lo_a, hi_a, lo_b, hi_b, p),
+                _reduce(np.maximum(hl, lh), p))
+    # Per dimension: the MAXDIST term (mx) and the best pinned-bound
+    # terms of side A (pa), side B (pb) and both (pab).
+    mx, pa, pb, pab = _power(np.array((
+        np.maximum(hl, lh),
+        np.minimum(np.maximum(ll, lh), np.maximum(hl, hh)),
+        np.minimum(np.maximum(ll, hl), np.maximum(lh, hh)),
+        np.minimum(np.minimum(ll, lh), np.minimum(hl, hh)),
+    )), p)
+    total = functools.reduce(np.add, mx)
+    # Both faces pin the same dimension j.
+    best = functools.reduce(np.minimum, (total - mx) + pab)
+    # Faces pin different dimensions j (side A) and l != j (side B).
+    # Rounding is monotone, so the minimum over (j, l) may be taken
+    # before adding ``total`` without changing a bit.
+    k = len(mx)
+    if k > 1:
+        u, v = pa - mx, pb - mx
+        cross = functools.reduce(np.minimum, (
+            u[j] + v[l] for j in range(k) for l in range(k) if l != j
+        ))
+        np.minimum(best, total + cross, out=best)
+    return minmin, _finish(best, p), _finish(total, p)
 
 
 def pairwise_point_distances(
@@ -167,7 +218,10 @@ def pairwise_point_distances(
     metric: MinkowskiMetric = EUCLIDEAN,
 ) -> np.ndarray:
     """All distances between two point arrays; shape ``(n, m)``."""
-    out = _combine(_point_deltas(points_a, points_b), metric)
+    deltas = _differences(points_a, points_b)
+    if metric.p != 2.0:  # squaring drops the sign exactly
+        np.abs(deltas, out=deltas)
+    out = _reduce(deltas, metric.p)
     KERNEL_STATS.record("points", out.size)
     return out
 
@@ -180,7 +234,8 @@ def pairwise_mindist(
     metric: MinkowskiMetric = EUCLIDEAN,
 ) -> np.ndarray:
     """MINMINDIST matrix between two rectangle arrays; shape ``(n, m)``."""
-    out = _combine(_mindist_deltas(lo_a, hi_a, lo_b, hi_b), metric)
+    out = _reduce(_mindist_terms(_differences(lo_a, hi_b),
+                                 _differences(hi_a, lo_b)), metric.p)
     KERNEL_STATS.record("minmin", out.size)
     return out
 
@@ -193,7 +248,7 @@ def pairwise_maxdist(
     metric: MinkowskiMetric = EUCLIDEAN,
 ) -> np.ndarray:
     """MAXMAXDIST matrix between two rectangle arrays; shape ``(n, m)``."""
-    out = _combine(_maxdist_deltas(lo_a, hi_a, lo_b, hi_b), metric)
+    out = _maxdist(lo_a, hi_a, lo_b, hi_b, metric.p)
     KERNEL_STATS.record("maxmax", out.size)
     return out
 
@@ -212,7 +267,7 @@ def _minmaxdist_faces(
     hi_a: np.ndarray,
     lo_b: np.ndarray,
     hi_b: np.ndarray,
-    metric: MinkowskiMetric,
+    p: float,
 ) -> np.ndarray:
     """Literal Definition 3: min over 2k x 2k face pairs of MAXDIST.
 
@@ -222,9 +277,8 @@ def _minmaxdist_faces(
     best = np.full((len(lo_a), len(lo_b)), np.inf)
     for face_lo_a, face_hi_a in _faces(lo_a, hi_a):
         for face_lo_b, face_hi_b in _faces(lo_b, hi_b):
-            deltas = _maxdist_deltas(face_lo_a, face_hi_a,
-                                     face_lo_b, face_hi_b)
-            np.minimum(best, _combine(deltas, metric), out=best)
+            np.minimum(best, _maxdist(face_lo_a, face_hi_a,
+                                      face_lo_b, face_hi_b, p), out=best)
     return best
 
 
@@ -245,47 +299,29 @@ def pairwise_minmaxdist(
     last ulp (NumPy's array power and CPython's scalar ``pow`` may
     round differently).
     """
-    p = metric.p
-    if p == math.inf:
-        out = _minmaxdist_faces(lo_a, hi_a, lo_b, hi_b, metric)
-        KERNEL_STATS.record("minmax", out.size)
-        return out
-    # Per dimension: the powered MAXDIST term (mx) and the powered best
-    # pinned-bound terms of side A (pa), side B (pb) and both (pab).
-    mx, pa, pb, pab = [], [], [], []
-    for (a_lo, b_lo), (a_hi, b_hi) in zip(_columns(lo_a, lo_b),
-                                          _columns(hi_a, hi_b)):
-        ll = _gap(a_lo, b_lo)
-        lh = _gap(a_lo, b_hi)
-        hl = _gap(a_hi, b_lo)
-        hh = _gap(a_hi, b_hi)
-        mx.append(_power(np.maximum(hl, lh), p))
-        pa.append(_power(
-            np.minimum(np.maximum(ll, lh), np.maximum(hl, hh)), p))
-        pb.append(_power(
-            np.minimum(np.maximum(ll, hl), np.maximum(lh, hh)), p))
-        pab.append(_power(
-            np.minimum(np.minimum(ll, lh), np.minimum(hl, hh)), p))
-    k = len(mx)
-    total = mx[0].copy()
-    for j in range(1, k):
-        total += mx[j]
-    # Both faces pin the same dimension j.
-    best = (total - mx[0]) + pab[0]
-    for j in range(1, k):
-        np.minimum(best, (total - mx[j]) + pab[j], out=best)
-    # Faces pin different dimensions: j on side A, the best l != j on
-    # side B.  Rounding is monotone, so taking the minimum over l before
-    # the additions changes no bit.
-    if k > 1:
-        u = [a - m for a, m in zip(pa, mx)]
-        v = [b - m for b, m in zip(pb, mx)]
-        for j in range(k):
-            v_rest = functools.reduce(np.minimum, v[:j] + v[j + 1:])
-            np.minimum(best, total + (u[j] + v_rest), out=best)
-    out = _finish(best, p)
+    out = _node_bounds(lo_a, hi_a, lo_b, hi_b, metric.p)[1]
     KERNEL_STATS.record("minmax", out.size)
     return out
+
+
+def node_pair_bounds(
+    lo_a: np.ndarray,
+    hi_a: np.ndarray,
+    lo_b: np.ndarray,
+    hi_b: np.ndarray,
+    metric: MinkowskiMetric = EUCLIDEAN,
+    maxmax: bool = True,
+):
+    """``(minmin, minmax, maxmax)`` matrices of one node pair, each
+    bitwise equal to its public kernel's and tallied under its name;
+    ``maxmax`` is ``None`` (and not tallied) unless asked for."""
+    minmin, minmax, far = _node_bounds(lo_a, hi_a, lo_b, hi_b, metric.p)
+    KERNEL_STATS.record("minmin", minmin.size)
+    KERNEL_STATS.record("minmax", minmax.size)
+    if not maxmax:
+        return minmin, minmax, None
+    KERNEL_STATS.record("maxmax", far.size)
+    return minmin, minmax, far
 
 
 def batch_mindist(
@@ -304,7 +340,8 @@ def batch_mindist(
     executor.  Same arithmetic as the pairwise kernel, so values are
     bit-identical to the corresponding matrix entries.
     """
-    out = _combine(_mindist_deltas(lo_a, hi_a, lo_b, hi_b, _aligned), metric)
+    out = _reduce(_mindist_terms(lo_a.T - hi_b.T, hi_a.T - lo_b.T),
+                  metric.p)
     KERNEL_STATS.record("minmin_batch", out.size)
     return out
 
@@ -337,4 +374,5 @@ def point_rect_mindist(
 ) -> np.ndarray:
     """MINDIST from each point to each rectangle; shape ``(n, m)``."""
     # A point is the degenerate box [point, point].
-    return _combine(_mindist_deltas(points, points, lo, hi), metric)
+    return _reduce(_mindist_terms(_differences(points, hi),
+                                  _differences(points, lo)), metric.p)

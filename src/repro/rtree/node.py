@@ -1,15 +1,16 @@
 """R-tree nodes.
 
 A :class:`Node` is the decoded form of one disk page: its level (0 for
-leaves), its entries, and lazily-built NumPy views of the entry
-geometry.  The NumPy views (``lo_array`` / ``hi_array`` /
-``points_array``) are what the CPQ algorithms feed to the vectorised
-metrics; they are invalidated whenever the entry list changes.
+leaves), its entries, and NumPy arrays of the entry geometry: each
+bound once, as a C-contiguous ``(k, n)`` array (a leaf's points serve
+as both).  ``lo_array`` / ``hi_array`` / ``points_array`` return their
+``(n, k)`` transposed views, which the CPQ algorithms feed to the
+vectorised metrics; they are invalidated whenever the entries change.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -22,7 +23,7 @@ Entry = Union[LeafEntry, InternalEntry]
 class Node:
     """One R-tree node (page image, decoded)."""
 
-    __slots__ = ("page_id", "level", "entries", "_lo", "_hi", "_mbr")
+    __slots__ = ("page_id", "level", "entries", "_lo", "_hi", "_mbr", "_box")
 
     def __init__(self, page_id: int, level: int, entries: Optional[List[Entry]] = None):
         self.page_id = page_id
@@ -31,6 +32,7 @@ class Node:
         self._lo: Optional[np.ndarray] = None
         self._hi: Optional[np.ndarray] = None
         self._mbr: Optional[MBR] = None
+        self._box: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -49,22 +51,30 @@ class Node:
             self._mbr = MBR.union_all(e.mbr for e in self.entries)
         return self._mbr
 
+    def box_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The node's MBR as ``(1, k)`` lo / hi arrays (built once)."""
+        if self._box is None:
+            mbr = self.mbr()
+            self._box = (np.array([mbr.lo], dtype=float),
+                         np.array([mbr.hi], dtype=float))
+        return self._box
+
     def lo_array(self) -> np.ndarray:
         """Per-entry MBR lows, shape ``(len(self), k)``."""
         self._build_arrays()
-        return self._lo
+        return self._lo.T
 
     def hi_array(self) -> np.ndarray:
         """Per-entry MBR highs, shape ``(len(self), k)``."""
         self._build_arrays()
-        return self._hi
+        return self._hi.T
 
     def points_array(self) -> np.ndarray:
         """Leaf point coordinates, shape ``(len(self), k)``."""
         if not self.is_leaf:
             raise ValueError("points_array is only defined for leaves")
         self._build_arrays()
-        return self._lo
+        return self._lo.T
 
     def _build_arrays(self) -> None:
         if self._lo is not None:
@@ -73,12 +83,15 @@ class Node:
         # last: concurrent readers that observe it non-None must also
         # see ``_hi`` (nodes are shared read-only between queries).
         if self.is_leaf:
-            pts = np.array([e.point for e in self.entries], dtype=float)
+            pts = np.array([e.point for e in self.entries],
+                           dtype=float).T.copy()
             self._hi = pts
             self._lo = pts
         else:
-            self._hi = np.array([e.mbr.hi for e in self.entries], dtype=float)
-            self._lo = np.array([e.mbr.lo for e in self.entries], dtype=float)
+            self._hi = np.array([e.mbr.hi for e in self.entries],
+                                dtype=float).T.copy()
+            self._lo = np.array([e.mbr.lo for e in self.entries],
+                                dtype=float).T.copy()
 
     # -- mutation ----------------------------------------------------------------
 
@@ -99,6 +112,7 @@ class Node:
         self._lo = None
         self._hi = None
         self._mbr = None
+        self._box = None
 
     # -- (de)serialisation adapters ------------------------------------------
 
@@ -131,16 +145,17 @@ class Node:
     ) -> "Node":
         """Build a node with its geometry arrays pre-attached.
 
-        ``lo`` / ``hi`` come from ``NodeSerializer.deserialize_arrays``
-        and must mirror what ``_build_arrays`` would compute from
-        ``tuples`` (for leaves: the same array twice).  Attaching them
+        ``lo`` / ``hi`` come from ``NodeSerializer.deserialize_arrays``:
+        ``(n, k)`` transposed views of C-contiguous ``(k, n)`` arrays
+        that must mirror what ``_build_arrays`` would compute from
+        ``tuples`` (for leaves: one array for both).  Attaching them
         here skips the lazy per-entry rebuild on the query path; any
         later mutation still invalidates them as usual.
         """
         node = cls.from_tuples(page_id, level, tuples)
         if lo is not None and len(node.entries):
-            node._hi = hi
-            node._lo = lo
+            node._hi = hi.T
+            node._lo = lo.T
         return node
 
     def __repr__(self) -> str:

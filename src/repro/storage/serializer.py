@@ -229,11 +229,12 @@ class NodeSerializer:
 
         Returns ``(level, entries, lo, hi)`` where ``entries`` matches
         :meth:`deserialize` and ``lo`` / ``hi`` are ``(count, k)``
-        float64 arrays of the per-entry MBR bounds, decoded in bulk via
-        a structured dtype.  For leaves both names refer to the *same*
-        coordinate array (points are degenerate rectangles), matching
-        what ``Node._build_arrays`` would lazily produce.  Empty pages
-        return ``None`` arrays.
+        float64 transposed views of C-contiguous ``(k, count)`` arrays
+        of the per-entry MBR bounds (the layout ``Node`` keeps),
+        decoded in bulk via a structured dtype.  For leaves both names
+        refer to the *same* coordinate array (points are degenerate
+        rectangles), matching what ``Node._build_arrays`` would lazily
+        produce.  Empty pages return ``None`` arrays.
         """
         level, count = self._read_header(page)
         if count == 0:
@@ -242,7 +243,7 @@ class NodeSerializer:
             records = np.frombuffer(
                 page, dtype=self._leaf_dtype, count=count, offset=HEADER_SIZE
             )
-            pts = np.array(records["coords"], dtype=np.float64)
+            pts = records["coords"].T.astype(np.float64, order="C").T
             entries: List = [
                 (tuple(coords), oid)
                 for coords, oid in zip(pts.tolist(), records["oid"].tolist())
@@ -251,8 +252,8 @@ class NodeSerializer:
         records = np.frombuffer(
             page, dtype=self._internal_dtype, count=count, offset=HEADER_SIZE
         )
-        lo = np.array(records["lo"], dtype=np.float64)
-        hi = np.array(records["hi"], dtype=np.float64)
+        lo = records["lo"].T.astype(np.float64, order="C").T
+        hi = records["hi"].T.astype(np.float64, order="C").T
         entries = [
             (tuple(low), tuple(high), child)
             for low, high, child in zip(

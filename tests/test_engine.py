@@ -146,3 +146,26 @@ class TestCandidateGeneration:
         q3 = RTree(RTreeConfig(layout=PageLayout(dimension=3)))
         with pytest.raises(ValueError):
             CPQContext(p, q3, k=1)
+
+
+class TestLeafTies:
+    """A K = 1 answer is the canonical pair among those tied at the
+    minimum distance, whatever the entry order inside a leaf."""
+
+    @pytest.mark.parametrize("algorithm",
+                             ["naive", "exh", "sim", "std", "heap"])
+    @pytest.mark.parametrize("q_points", [
+        [(0.0, 1.0), (0.0, -1.0)],
+        [(0.0, -1.0), (0.0, 1.0)],
+    ], ids=["up_first", "down_first"])
+    def test_k1_is_first_pair_of_k2(self, algorithm, q_points):
+        from repro.core import CPQRequest, k_closest_pairs
+
+        p = bulk_load([(0.0, 0.0)])
+        q = bulk_load(q_points)
+        best = k_closest_pairs(p, q, request=CPQRequest(
+            k=1, algorithm=algorithm)).pairs
+        both = k_closest_pairs(p, q, request=CPQRequest(
+            k=2, algorithm=algorithm)).pairs
+        assert best == both[:1]
+        assert best[0].q == (0.0, -1.0)

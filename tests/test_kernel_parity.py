@@ -5,7 +5,7 @@ of :mod:`repro.geometry.vectorized`.  The scalar helpers of
 :mod:`repro.geometry.metrics` are kept as their oracle: they mirror
 the kernels operation for operation (same accumulation order, same
 parenthesisation), so their outputs are equal as bit patterns, not
-merely to a tolerance.  These tests pin that contract at three levels:
+merely to a tolerance.  These tests pin that contract at four levels:
 
 * kernel level -- Hypothesis-generated rectangle/point batches in
   d = 2 and d = 3 under Euclidean, Manhattan and Chebyshev metrics,
@@ -19,7 +19,12 @@ merely to a tolerance.  These tests pin that contract at three levels:
   p = 3 is held to at most 1 ulp there;
 * tie keys -- the batched T1-T5 keys the traversal uses
   (:meth:`TieBreak.keys` over :class:`CandidateBoxes`) equal the
-  per-candidate :meth:`TieCriterion.key` on the same tie-heavy boxes.
+  per-candidate :meth:`TieCriterion.key` on the same tie-heavy boxes;
+* fusion and layout -- the fused node-pair kernel equals the three
+  public kernels, every kernel gives the same values on row-major and
+  coordinate-major (transposed-view) inputs, including the arrays of
+  decoded and lazily built nodes and a fixed side's box, and the
+  prefix scan of the K > 1 bound equals a full stable-sort scan.
 
 A query on a SEQUOIA-like sample also checks that the traversal's
 kernel calls land in :data:`KERNEL_STATS`.
@@ -27,10 +32,11 @@ kernel calls land in :data:`KERNEL_STATS`.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CPQRequest, k_closest_pairs
+from repro.core.engine import _kcp_bound_from_maxmax
 from repro.core.ties import (
     TIE_CRITERIA,
     CandidateBoxes,
@@ -49,12 +55,18 @@ from repro.geometry.minkowski import (
 )
 from repro.geometry.vectorized import (
     KERNEL_STATS,
+    batch_mindist,
+    node_pair_bounds,
     pairwise_maxdist,
     pairwise_mindist,
     pairwise_minmaxdist,
     pairwise_point_distances,
+    point_rect_mindist,
 )
 from repro.rtree.bulk import bulk_load
+from repro.rtree.node import Node
+from repro.storage.page import PageLayout
+from repro.storage.serializer import NodeSerializer
 
 coord = st.floats(
     min_value=-20, max_value=20, allow_nan=False, allow_infinity=False
@@ -268,6 +280,168 @@ def test_batched_tie_keys_match_per_candidate(
         assert batched == [criterion.key(c) for c in oracle], name
     chain = TieBreak.parse(["T5", "T3", "T1", "T4", "T2"])
     assert chain.keys(boxes) == [chain.key(c) for c in oracle]
+
+
+# ---------------------------------------------------------------------------
+# Fusion and layout: one node-pair kernel, row- and column-major inputs.
+# ---------------------------------------------------------------------------
+
+def assert_same_matrix(fused, separate, metric):
+    assert fused.shape == separate.shape
+    for got, want in zip(fused.ravel().tolist(), separate.ravel().tolist()):
+        assert_tie_heavy_match(got, want, metric)
+
+
+@given(sides=st.one_of(two_rect_batches(), tie_heavy_sides()),
+       metric=metrics)
+@settings(max_examples=200, deadline=None)
+def test_fused_bounds_equal_public_kernels(sides, metric):
+    (lo_a, hi_a), (lo_b, hi_b) = sides
+    before = KERNEL_STATS.snapshot()
+    minmin, minmax, maxmax = node_pair_bounds(lo_a, hi_a, lo_b, hi_b,
+                                              metric)
+    fused = KERNEL_STATS.snapshot()
+    assert_same_matrix(minmin, pairwise_mindist(lo_a, hi_a, lo_b, hi_b,
+                                                metric), metric)
+    assert_same_matrix(minmax, pairwise_minmaxdist(lo_a, hi_a, lo_b, hi_b,
+                                                   metric), metric)
+    assert_same_matrix(maxmax, pairwise_maxdist(lo_a, hi_a, lo_b, hi_b,
+                                                metric), metric)
+    separate = KERNEL_STATS.snapshot()
+    # The fused call tallies exactly what the three separate calls do.
+    for name in ("minmin", "minmax", "maxmax"):
+        calls = [snap.get(name, {"calls": 0, "pairs": 0})
+                 for snap in (before, fused, separate)]
+        assert calls[1]["calls"] - calls[0]["calls"] == 1
+        assert (calls[2]["calls"] - calls[1]["calls"]
+                == calls[1]["calls"] - calls[0]["calls"])
+        assert (calls[2]["pairs"] - calls[1]["pairs"]
+                == calls[1]["pairs"] - calls[0]["pairs"] == minmin.size)
+    without = node_pair_bounds(lo_a, hi_a, lo_b, hi_b, metric, maxmax=False)
+    assert without[2] is None
+    assert np.array_equal(without[0], minmin)
+    assert np.array_equal(without[1], minmax)
+
+
+def column_major(array):
+    """The same values as a transposed view of a C-contiguous
+    ``(k, n)`` array -- the layout R-tree nodes hand out."""
+    view = np.ascontiguousarray(array.T).T
+    assert view.flags.f_contiguous and array.shape == view.shape
+    return view
+
+
+def all_kernels(lo_a, hi_a, lo_b, hi_b, metric):
+    return [
+        pairwise_point_distances(lo_a, lo_b, metric),
+        pairwise_mindist(lo_a, hi_a, lo_b, hi_b, metric),
+        pairwise_maxdist(lo_a, hi_a, lo_b, hi_b, metric),
+        pairwise_minmaxdist(lo_a, hi_a, lo_b, hi_b, metric),
+        *node_pair_bounds(lo_a, hi_a, lo_b, hi_b, metric),
+        point_rect_mindist(lo_a, lo_b, hi_b, metric),
+        batch_mindist(lo_a, hi_a, lo_a[::-1], hi_a[::-1], metric),
+    ]
+
+
+def assert_identical(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@given(sides=st.one_of(two_rect_batches(), tie_heavy_sides()),
+       metric=metrics)
+@settings(max_examples=150, deadline=None)
+def test_layouts_give_identical_results(sides, metric):
+    (lo_a, hi_a), (lo_b, hi_b) = sides
+    rows = all_kernels(lo_a, hi_a, lo_b, hi_b, metric)
+    columns = all_kernels(*map(column_major, (lo_a, hi_a, lo_b, hi_b)),
+                          metric)
+    assert_identical(columns, rows)
+
+
+@given(sides=st.one_of(two_rect_batches(), tie_heavy_sides()),
+       metric=metrics)
+@settings(max_examples=100, deadline=None)
+def test_node_arrays_match_row_major(sides, metric):
+    (lo_a, hi_a), (lo_b, hi_b) = sides
+    k = lo_a.shape[1]
+    tuples = [(tuple(lo), tuple(hi), child)
+              for child, (lo, hi) in enumerate(zip(lo_a.tolist(),
+                                                   hi_a.tolist()))]
+    lazy = Node.from_tuples(7, 1, tuples)
+    serializer = NodeSerializer(PageLayout(dimension=k))
+    __, entries, lo, hi = serializer.deserialize_arrays(
+        serializer.serialize_internal(1, tuples))
+    decoded = Node.from_arrays(7, 1, entries, lo, hi)
+    for node in (lazy, decoded):
+        assert node.lo_array().tolist() == lo_a.tolist()
+        assert node.hi_array().tolist() == hi_a.tolist()
+        for bound in (node.lo_array(), node.hi_array()):
+            assert bound.T.flags.c_contiguous
+        assert_identical(
+            all_kernels(node.lo_array(), node.hi_array(), lo_b, hi_b, metric),
+            all_kernels(lo_a, hi_a, lo_b, hi_b, metric),
+        )
+        # A fixed side's (1, k) box.
+        box_lo, box_hi = node.box_arrays()
+        assert node.box_arrays() is node.box_arrays()
+        assert box_lo.tolist() == [list(node.mbr().lo)]
+        assert box_hi.tolist() == [list(node.mbr().hi)]
+        assert_identical(
+            all_kernels(box_lo, box_hi, lo_b, hi_b, metric),
+            all_kernels(np.array([node.mbr().lo]), np.array([node.mbr().hi]),
+                        lo_b, hi_b, metric),
+        )
+    # Leaves: one shared coordinate array for both bounds.
+    leaf = Node.from_tuples(8, 0, [(tuple(p), i)
+                                   for i, p in enumerate(lo_a.tolist())])
+    assert leaf.points_array().tolist() == lo_a.tolist()
+    assert leaf._lo is leaf._hi
+    __, entries, lo, hi = serializer.deserialize_arrays(
+        serializer.serialize_leaf(leaf.to_tuples()))
+    assert lo is hi and lo.tolist() == lo_a.tolist()
+    # A decoded node keeps the decoded array; it copies nothing.
+    assert np.shares_memory(
+        Node.from_arrays(8, 0, entries, lo, hi).lo_array(), lo)
+
+
+def full_scan_bound(minmax, maxmax, counts, k):
+    """Reference K > 1 bound: one stable sort of every guarantee."""
+    values = np.concatenate([minmax, maxmax])
+    weights = np.concatenate(
+        [np.ones_like(minmax), np.maximum(counts - 1.0, 0.0)]
+    )
+    order = np.argsort(values, kind="stable")
+    position = int(np.searchsorted(np.cumsum(weights[order]), k))
+    if position >= len(values):
+        return float("inf")
+    return float(values[order][position])
+
+
+@st.composite
+def bound_inputs(draw):
+    n = draw(st.integers(min_value=1, max_value=60))
+    value = st.one_of(grid_coord.map(abs), coord.map(abs))
+    minmax = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    extra = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    # Occupancy products, as _guaranteed_points builds them.
+    level = st.sampled_from([1.0, 2.0, 3.0, 4.0, 7.0, 49.0, 2401.0])
+    counts = np.array(draw(st.lists(level, min_size=n, max_size=n)))
+    k = draw(st.integers(min_value=1, max_value=3000))
+    # The traversal's MAXMAXDIST never undercuts its MINMAXDIST, but
+    # the bound must not rely on it.
+    maxmax = minmax + extra if draw(st.booleans()) else extra
+    return minmax, maxmax, counts, k
+
+
+@given(args=bound_inputs())
+# Candidates at the cut that carry no weight: the prefix falls short.
+@example(args=(np.array([5.0, 5.0]), np.array([1.0, 2.0]),
+               np.array([1.0, 1.0]), 1))
+@settings(max_examples=300, deadline=None)
+def test_kcp_bound_equals_full_scan(args):
+    assert _kcp_bound_from_maxmax(*args) == full_scan_bound(*args)
 
 
 # ---------------------------------------------------------------------------

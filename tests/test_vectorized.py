@@ -1,5 +1,8 @@
 """The vectorised metrics must agree exactly with the scalar ones."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,6 +17,7 @@ from repro.geometry.minkowski import (
     MinkowskiMetric,
 )
 from repro.geometry.vectorized import (
+    KernelStats,
     pairwise_maxdist,
     pairwise_mindist,
     pairwise_minmaxdist,
@@ -123,3 +127,77 @@ def test_shapes():
     assert pairwise_mindist(lo_a, hi_a, lo_b, hi_b).shape == (3, 4)
     assert pairwise_maxdist(lo_a, hi_a, lo_b, hi_b).shape == (3, 4)
     assert pairwise_minmaxdist(lo_a, hi_a, lo_b, hi_b).shape == (3, 4)
+
+
+# ---------------------------------------------------------------------------
+# KernelStats: per-thread cells summed by snapshot().
+# ---------------------------------------------------------------------------
+
+def _run_threads(targets, timeout=30.0):
+    threads = [threading.Thread(target=t) for t in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout)
+        assert not thread.is_alive()
+
+
+def test_kernel_stats_concurrent_totals_are_exact():
+    stats = KernelStats()
+    rounds = 2000
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def work(seed):
+            def run():
+                for i in range(rounds):
+                    stats.record("minmin", 3)
+                    stats.record("points" if (i + seed) % 2 else "minmax",
+                                 seed + 1)
+            return run
+        _run_threads([work(seed) for seed in range(8)])
+    finally:
+        sys.setswitchinterval(interval)
+    # Every recording thread has exited; its counts remain.
+    assert stats.snapshot() == {
+        "minmax": {"calls": 8 * rounds // 2,
+                   "pairs": sum(s + 1 for s in range(8)) * rounds // 2},
+        "minmin": {"calls": 8 * rounds, "pairs": 8 * rounds * 3},
+        "points": {"calls": 8 * rounds // 2,
+                   "pairs": sum(s + 1 for s in range(8)) * rounds // 2},
+    }
+
+
+def test_kernel_stats_cells_do_not_grow_with_thread_churn():
+    stats = KernelStats()
+    stats.record("points", 1)
+    for __ in range(200):
+        _run_threads([lambda: stats.record("points", 2)])
+    # The retired cell, this thread's and the last thread's at most.
+    assert len(stats._cells) <= 3
+    assert stats.snapshot() == {"points": {"calls": 201, "pairs": 401}}
+
+
+def test_kernel_stats_reset_zeroes_every_cell():
+    stats = KernelStats()
+    started, release = threading.Event(), threading.Event()
+
+    def live():
+        stats.record("minmax", 5)
+        started.set()
+        release.wait(30)
+        stats.record("minmax", 7)
+
+    holder = threading.Thread(target=live)
+    holder.start()
+    try:
+        assert started.wait(30)
+        _run_threads([lambda: stats.record("maxmax", 4)])
+        stats.record("points", 1)
+        stats.reset()
+        assert stats.snapshot() == {}
+    finally:
+        release.set()
+        holder.join(30)
+    assert not holder.is_alive()
+    assert stats.snapshot() == {"minmax": {"calls": 1, "pairs": 7}}
