@@ -184,6 +184,15 @@ class TreeShape:
         return cls(levels, workspace, len(tree))
 
     @classmethod
+    def of(cls, tree: RTree) -> Optional["TreeShape"]:
+        """:meth:`from_tree`, or None for a tree the cost model cannot
+        shape (empty, or not two-dimensional) -- the planner then
+        falls back to its defaults."""
+        if tree.root_id is None or tree.dimension != 2:
+            return None
+        return cls.from_tree(tree)
+
+    @classmethod
     def uniform(
         cls,
         n: int,

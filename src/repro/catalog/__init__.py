@@ -1,10 +1,12 @@
 """Persisted dataset catalog: named datasets, built indexes, one
 ``open_dataset`` API.
 
-ROADMAP item 5's front door.  A :class:`Catalog` maps names to built
-indexes (STR-packed, grid-packed, or dynamic R*-trees -- see
-``docs/CATALOG.md``), and :func:`open_tree` is the single reopen path
-every layer (CLI, service, shards) goes through.  CPQL queries
+A :class:`Catalog` maps names to built indexes (STR-packed,
+grid-packed, or dynamic R*-trees -- see ``docs/CATALOG.md``).  Every
+persisted tree is described by one :class:`TreeSpec`, its sidecar is
+written by :func:`write_sidecar` and read by :func:`read_sidecar`, and
+:func:`open_tree` is the single reopen path every layer (CLI, service,
+shards, WAL recovery) goes through.  CPQL queries
 (:mod:`repro.query.cpql`) resolve their ``FROM`` clauses against a
 catalog.
 """
@@ -15,8 +17,12 @@ from repro.catalog.core import (
     DatasetEntry,
     IndexEntry,
     SCHEMA_VERSION,
+    TreeSpec,
     meta_path,
     open_tree,
+    read_sidecar,
+    tree_spec,
+    write_sidecar,
 )
 from repro.errors import CatalogError, UnknownDatasetError
 
@@ -27,7 +33,11 @@ __all__ = [
     "DatasetEntry",
     "IndexEntry",
     "SCHEMA_VERSION",
+    "TreeSpec",
     "UnknownDatasetError",
     "meta_path",
     "open_tree",
+    "read_sidecar",
+    "tree_spec",
+    "write_sidecar",
 ]

@@ -1,25 +1,25 @@
-"""The persisted dataset catalog and the single tree-reopen path.
+"""Persisted trees: one descriptor, one sidecar format, one reopen path.
+
+A persisted tree is a ``.pages`` file plus a ``.meta.json`` sidecar
+holding its :meth:`~repro.rtree.tree.RTree.metadata`.  This module owns
+everything about that pair: :class:`TreeSpec` describes one tree
+(:func:`tree_spec` captures it from an open tree), :func:`write_sidecar`
+and :func:`read_sidecar` are the only sidecar writer and reader, and
+:func:`open_tree` is the one function that turns (path, metadata,
+flags) into a live :class:`~repro.rtree.tree.RTree`.
 
 A :class:`Catalog` is a JSON sidecar (``catalog.json``) naming the
 datasets of one directory and, per dataset, one or more **built
 indexes**: the index kind (``str`` / ``grid`` / ``dynamic``, see
 :data:`repro.analysis.cost_model.INDEX_KINDS`), the page-file path,
 the committed snapshot generation it was registered at, the mmap /
-legacy-page flags its storage wants, and build statistics.  Everything
-that used to plumb raw ``.pages`` paths and hand-rolled
-:class:`~repro.net.shard.TreeSpec` tuples -- the CLI, the query
-service, the network shards -- resolves catalog names instead::
+legacy-page flags its storage wants, and build statistics.  The CLI,
+the query service and the network shards resolve catalog names::
 
     catalog = Catalog("data/catalog.json")
     catalog.register_dataset("parks", points, kind="auto")
     tree = catalog.open_dataset("parks")          # planner-chosen index
     spec = catalog.tree_spec("parks")             # shard-reopenable
-
-:func:`open_tree` is the one function that turns (path, metadata,
-flags) into a live :class:`~repro.rtree.tree.RTree`;
-:meth:`~repro.net.shard.TreeSpec.open` and the CLI's page loading both
-delegate to it, so snapshot-generation and mmap handling cannot drift
-apart again.
 
 The schema is versioned (:data:`SCHEMA_VERSION`); a catalog written by
 a future incompatible layout is refused, never guessed at.  Page-file
@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.cost_model import INDEX_KINDS
@@ -50,6 +50,13 @@ SCHEMA_VERSION = 1
 #: Default catalog file name inside a dataset directory.
 CATALOG_FILENAME = "catalog.json"
 
+#: Appended to a page file's path to name its metadata sidecar.
+SIDECAR_SUFFIX = ".meta.json"
+
+#: Sidecar fields without a default; the rest (``generation``,
+#: ``variant``, ``dimension``) fall back to 0, ``"rstar"`` and 2.
+REQUIRED_METADATA = ("root_id", "height", "count", "page_size")
+
 
 def open_tree(
     path: str,
@@ -65,30 +72,18 @@ def open_tree(
     """Reopen one persistent tree: the single source of truth.
 
     Every reopen in the system -- catalog lookups, shard workers
-    (:meth:`repro.net.shard.TreeSpec.open`), the CLI's ``.pages``
-    arguments -- goes through here, so the snapshot-generation, mmap
-    and legacy-page handling cannot diverge between layers.
+    (:meth:`TreeSpec.open`), the CLI's ``.pages`` arguments, ``ingest``
+    onto an existing tree and WAL recovery
+    (:func:`repro.storage.wal.recover_tree`) -- goes through here, so
+    the snapshot-generation, mmap and legacy-page handling cannot
+    diverge between layers.
 
     ``metadata`` is the :meth:`~repro.rtree.tree.RTree.metadata` dict;
-    when omitted it is loaded from the ``<path>.meta.json`` sidecar
-    ``repro-cpq build``/``ingest`` maintain.  ``page_size`` overrides
-    the metadata's (they must agree with the file's framing).
+    when omitted it is loaded with :func:`read_sidecar`.  ``page_size``
+    overrides the metadata's (they must agree with the file's framing).
     """
     if metadata is None:
-        sidecar = meta_path(path)
-        try:
-            with open(sidecar, encoding="utf-8") as handle:
-                metadata = json.load(handle)
-        except FileNotFoundError:
-            raise CatalogError(
-                f"no metadata sidecar at {sidecar}; pass metadata= or "
-                f"rebuild the tree"
-            ) from None
-        except json.JSONDecodeError as exc:
-            raise CatalogError(
-                f"unreadable metadata sidecar {sidecar}: {exc}"
-            ) from exc
-    metadata = dict(metadata)
+        metadata = read_sidecar(path)
     if page_size is None:
         page_size = int(metadata["page_size"])
     store = FilePageStore(path, page_size, readonly=readonly,
@@ -117,85 +112,157 @@ def open_tree(
 
 def meta_path(pages_path: str) -> str:
     """The ``.meta.json`` sidecar path of one page file."""
-    return pages_path + ".meta.json"
+    return pages_path + SIDECAR_SUFFIX
+
+
+def read_sidecar(pages_path: str) -> Dict[str, Any]:
+    """Load one page file's sidecar metadata.
+
+    Raises :class:`~repro.errors.CatalogError` when the sidecar is
+    missing, is not JSON, or lacks one of :data:`REQUIRED_METADATA`.
+    """
+    sidecar = meta_path(pages_path)
+    try:
+        with open(sidecar, encoding="utf-8") as handle:
+            metadata = json.load(handle)
+    except FileNotFoundError:
+        raise CatalogError(
+            f"no metadata sidecar at {sidecar}; pass metadata= or "
+            f"rebuild the tree"
+        ) from None
+    except json.JSONDecodeError as exc:
+        raise CatalogError(
+            f"unreadable metadata sidecar {sidecar}: {exc}"
+        ) from exc
+    for key in REQUIRED_METADATA:
+        if key not in metadata:
+            raise CatalogError(
+                f"metadata sidecar {sidecar} misses required field "
+                f"{key!r}"
+            )
+    return metadata
+
+
+def write_sidecar(pages_path: str, metadata: Dict[str, Any]) -> None:
+    """Atomically (re)write one page file's sidecar.
+
+    The JSON goes to a temporary file that replaces the sidecar only
+    once fully written, so a failed write leaves the previous sidecar
+    intact and no temporary file behind.  Callers flush the page store
+    first: the sidecar must never name pages the file lacks.
+    """
+    sidecar = meta_path(pages_path)
+    tmp = sidecar + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump(metadata, handle)
+        os.replace(tmp, sidecar)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+@dataclass(frozen=True)
+class TreeSpec:
+    """Everything a process needs to reopen one persistent tree.
+
+    ``metadata`` is the :meth:`~repro.rtree.tree.RTree.metadata` dict
+    *pinned at a committed generation* (see :func:`tree_spec`):
+    because live mutation is copy-on-write, the pages reachable from
+    that root are immutable on disk, so shard processes reopening the
+    spec read a consistent tree even while the coordinator's writer
+    keeps committing batches.  ``read_latency`` models the device seek
+    exactly as :class:`~repro.storage.paged_file.PagedFile` does
+    (benchmarks use it to put shards in the disk-bound regime);
+    ``use_mmap`` reopens the store with the mmap read path and
+    ``allow_legacy_pages`` accepts version-0 (pre-checksum) pages.
+    """
+
+    path: str
+    page_size: int
+    metadata: Any
+    buffer_capacity: int = 64
+    read_latency: float = 0.0
+    use_mmap: bool = False
+    allow_legacy_pages: bool = False
+
+    @property
+    def generation(self) -> int:
+        """The committed generation this spec reopens at."""
+        return int(self.metadata.get("generation", 0))
+
+    def open(self, readonly: bool = True) -> RTree:
+        """Reopen the described tree through :func:`open_tree`."""
+        return open_tree(
+            self.path,
+            metadata=self.metadata,
+            page_size=self.page_size,
+            use_mmap=self.use_mmap,
+            readonly=readonly,
+            buffer_capacity=self.buffer_capacity,
+            read_latency=self.read_latency,
+            allow_legacy_pages=self.allow_legacy_pages,
+        )
+
+
+def tree_spec(tree: RTree, buffer_capacity: Optional[int] = None,
+              read_latency: Optional[float] = None,
+              use_mmap: bool = False) -> TreeSpec:
+    """Describe an open file-backed tree for reopening elsewhere.
+
+    The spec captures the tree's *committed snapshot*
+    (:meth:`~repro.rtree.tree.RTree.metadata`), not its live fields:
+    an open mutation batch on a live tree writes only copy-on-write
+    pages, so after the flush below the committed root and everything
+    reachable from it are durable and immutable -- exactly what a
+    shard process must see.
+    """
+    store = tree.file.store
+    if not isinstance(store, FilePageStore):
+        raise ValueError(
+            "sharding requires file-backed trees (FilePageStore); "
+            "in-memory trees cannot be reopened by shard processes"
+        )
+    store.flush()
+    return TreeSpec(
+        path=store.path,
+        page_size=store.page_size,
+        metadata=tree.metadata(),
+        buffer_capacity=(tree.file.buffer.capacity
+                         if buffer_capacity is None else buffer_capacity),
+        read_latency=(tree.file.read_latency
+                      if read_latency is None else read_latency),
+        use_mmap=use_mmap,
+        allow_legacy_pages=tree.config.allow_legacy_pages,
+    )
 
 
 @dataclass(frozen=True)
 class IndexEntry:
     """One built index of one dataset.
 
-    ``path`` is absolute once loaded (the catalog file stores it
-    relative to its own directory); ``metadata`` is the committed
-    snapshot the index was registered at -- reopening through it is
-    what makes shard workers and the service agree on a generation.
+    ``spec`` describes the page file: its path is absolute once loaded
+    (the catalog file stores it relative to its own directory) and its
+    metadata is the committed snapshot the index was registered at --
+    reopening through it is what makes shard workers and the service
+    agree on a generation.
     """
 
     kind: str
-    path: str
-    page_size: int
-    metadata: Dict[str, Any]
-    use_mmap: bool = False
-    allow_legacy_pages: bool = False
+    spec: TreeSpec
     #: Build statistics: ``build_s`` (wall seconds), ``nodes``,
     #: ``height`` and -- for planner-chosen indexes -- the decision's
     #: evidence dict.
     build: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def generation(self) -> int:
-        """The committed generation this index reopens at."""
-        return int(self.metadata.get("generation", 0))
-
-    def open(
-        self,
-        *,
-        use_mmap: Optional[bool] = None,
-        buffer_capacity: int = 0,
-        read_latency: float = 0.0,
-        readonly: bool = True,
-    ) -> RTree:
-        """Open this index through :func:`open_tree`."""
-        return open_tree(
-            self.path,
-            metadata=self.metadata,
-            page_size=self.page_size,
-            use_mmap=self.use_mmap if use_mmap is None else use_mmap,
-            readonly=readonly,
-            buffer_capacity=buffer_capacity,
-            read_latency=read_latency,
-            allow_legacy_pages=self.allow_legacy_pages,
-        )
-
-    def tree_spec(
-        self,
-        buffer_capacity: int = 64,
-        read_latency: float = 0.0,
-        use_mmap: Optional[bool] = None,
-    ):
-        """This index as a shard-reopenable
-        :class:`~repro.net.shard.TreeSpec`."""
-        # Imported lazily: repro.net imports the service layer, which
-        # must stay importable without the network tier.
-        from repro.net.shard import TreeSpec
-
-        return TreeSpec(
-            path=self.path,
-            page_size=self.page_size,
-            metadata=dict(self.metadata),
-            buffer_capacity=buffer_capacity,
-            read_latency=read_latency,
-            use_mmap=self.use_mmap if use_mmap is None else use_mmap,
-            allow_legacy_pages=self.allow_legacy_pages,
-        )
-
     def to_json(self, base_dir: str) -> Dict[str, Any]:
         return {
             "kind": self.kind,
-            "path": os.path.relpath(self.path, base_dir),
-            "page_size": self.page_size,
-            "metadata": dict(self.metadata),
-            "use_mmap": self.use_mmap,
-            "allow_legacy_pages": self.allow_legacy_pages,
+            "path": os.path.relpath(self.spec.path, base_dir),
+            "page_size": self.spec.page_size,
+            "metadata": dict(self.spec.metadata),
+            "use_mmap": self.spec.use_mmap,
+            "allow_legacy_pages": self.spec.allow_legacy_pages,
             "build": dict(self.build),
         }
 
@@ -204,14 +271,16 @@ class IndexEntry:
         try:
             return cls(
                 kind=obj["kind"],
-                path=os.path.normpath(
-                    os.path.join(base_dir, obj["path"])
-                ),
-                page_size=int(obj["page_size"]),
-                metadata=dict(obj["metadata"]),
-                use_mmap=bool(obj.get("use_mmap", False)),
-                allow_legacy_pages=bool(
-                    obj.get("allow_legacy_pages", False)
+                spec=TreeSpec(
+                    path=os.path.normpath(
+                        os.path.join(base_dir, obj["path"])
+                    ),
+                    page_size=int(obj["page_size"]),
+                    metadata=dict(obj["metadata"]),
+                    use_mmap=bool(obj.get("use_mmap", False)),
+                    allow_legacy_pages=bool(
+                        obj.get("allow_legacy_pages", False)
+                    ),
                 ),
                 build=dict(obj.get("build", {})),
             )
@@ -407,22 +476,17 @@ class Catalog:
     ) -> RTree:
         """Open one dataset's index as a live tree.
 
-        The replacement for every hand-rolled ``FilePageStore`` +
-        ``from_storage`` reopen: flags come from the catalog entry
-        unless explicitly overridden.
+        Flags come from the catalog entry unless explicitly
+        overridden.
         """
-        entry = self.dataset(name).index(kind)
-        if not os.path.exists(entry.path):
+        spec = self.tree_spec(name, kind, buffer_capacity=buffer_capacity,
+                              read_latency=read_latency, use_mmap=use_mmap)
+        if not os.path.exists(spec.path):
             raise CatalogError(
                 f"dataset {name!r} names a missing page file "
-                f"{entry.path}"
+                f"{spec.path}"
             )
-        return entry.open(
-            use_mmap=use_mmap,
-            buffer_capacity=buffer_capacity,
-            read_latency=read_latency,
-            readonly=readonly,
-        )
+        return spec.open(readonly=readonly)
 
     def tree_spec(
         self,
@@ -432,12 +496,15 @@ class Catalog:
         buffer_capacity: int = 64,
         read_latency: float = 0.0,
         use_mmap: Optional[bool] = None,
-    ):
-        """One dataset's index as a shard-reopenable ``TreeSpec``."""
-        return self.dataset(name).index(kind).tree_spec(
+    ) -> TreeSpec:
+        """One dataset's index as a reopenable :class:`TreeSpec`."""
+        spec = self.dataset(name).index(kind).spec
+        return replace(
+            spec,
+            metadata=dict(spec.metadata),
             buffer_capacity=buffer_capacity,
             read_latency=read_latency,
-            use_mmap=use_mmap,
+            use_mmap=spec.use_mmap if use_mmap is None else use_mmap,
         )
 
     # -- registration ------------------------------------------------------
@@ -512,7 +579,7 @@ class Catalog:
                 k, points, oids, pages, page_size, dimension
             )
             build_s = time.perf_counter() - started
-            metadata = dict(tree.metadata())
+            spec = tree_spec(tree, use_mmap=use_mmap)
             build: Dict[str, Any] = {
                 "build_s": round(build_s, 6),
                 "nodes": tree.node_count(),
@@ -520,17 +587,9 @@ class Catalog:
             }
             if decision is not None and k == kind:
                 build["decision"] = decision.as_dict()
-            with open(meta_path(pages), "w", encoding="utf-8") as handle:
-                json.dump(metadata, handle)
+            write_sidecar(pages, spec.metadata)
             tree.file.store.close()
-            entry.indexes[k] = IndexEntry(
-                kind=k,
-                path=pages,
-                page_size=page_size,
-                metadata=metadata,
-                use_mmap=use_mmap,
-                build=build,
-            )
+            entry.indexes[k] = IndexEntry(kind=k, spec=spec, build=build)
         self._datasets[name] = entry
         self.save()
         return entry
@@ -546,17 +605,13 @@ class Catalog:
         allow_legacy_pages: bool = False,
         source: Optional[str] = None,
         overwrite: bool = False,
-        persist: bool = True,
     ) -> DatasetEntry:
         """Register an existing ``.pages`` file under a catalog name.
 
         The migration path for pre-catalog trees (``repro-cpq build``
         output, deprecated raw path flags): the page file stays where
         it is, only the catalog entry is created.  ``metadata``
-        defaults to the ``.meta.json`` sidecar.  ``persist=False``
-        registers in memory only -- how the CLI routes a one-shot
-        deprecated path argument through the catalog without writing a
-        catalog file next to it.
+        defaults to the ``.meta.json`` sidecar (:func:`read_sidecar`).
         """
         if name in self._datasets and not overwrite:
             raise CatalogError(
@@ -567,14 +622,7 @@ class Catalog:
         if not os.path.exists(pages_path):
             raise CatalogError(f"no page file at {pages_path}")
         if metadata is None:
-            sidecar = meta_path(pages_path)
-            try:
-                with open(sidecar, encoding="utf-8") as handle:
-                    metadata = json.load(handle)
-            except FileNotFoundError:
-                raise CatalogError(
-                    f"no metadata sidecar at {sidecar}; pass metadata="
-                ) from None
+            metadata = read_sidecar(pages_path)
         entry = DatasetEntry(
             name=name,
             dimension=int(metadata.get("dimension", 2)),
@@ -582,17 +630,15 @@ class Catalog:
             default_kind=kind,
             source=source if source is not None else pages_path,
         )
-        entry.indexes[kind] = IndexEntry(
-            kind=kind,
+        entry.indexes[kind] = IndexEntry(kind=kind, spec=TreeSpec(
             path=pages_path,
             page_size=int(metadata["page_size"]),
             metadata=dict(metadata),
             use_mmap=use_mmap,
             allow_legacy_pages=allow_legacy_pages,
-        )
+        ))
         self._datasets[name] = entry
-        if persist:
-            self.save()
+        self.save()
         return entry
 
     def remove_dataset(self, name: str, delete_files: bool = False) -> None:
@@ -600,7 +646,7 @@ class Catalog:
         entry = self.dataset(name)
         if delete_files:
             for index in entry.indexes.values():
-                for victim in (index.path, meta_path(index.path)):
+                for victim in (index.spec.path, meta_path(index.spec.path)):
                     if os.path.exists(victim):
                         os.remove(victim)
         del self._datasets[name]

@@ -42,7 +42,19 @@ import sys
 import warnings
 from typing import List, Optional
 
-from repro.core.api import ALGORITHMS, CPQRequest, k_closest_pairs
+from repro.catalog import (
+    Catalog,
+    meta_path,
+    open_tree,
+    read_sidecar,
+    write_sidecar,
+)
+from repro.core.api import (
+    ALGORITHMS,
+    CORE_ALGORITHMS,
+    CPQRequest,
+    k_closest_pairs,
+)
 from repro.datasets import (
     UNIT_WORKSPACE,
     load_points,
@@ -51,14 +63,11 @@ from repro.datasets import (
     sequoia_like,
     uniform_points,
 )
+from repro.errors import CatalogError
 from repro.rtree.bulk import bulk_load
 from repro.rtree.tree import RTree
 from repro.storage.paged_file import PagedFile
 from repro.storage.store import FilePageStore
-
-
-def _meta_path(tree_path: str) -> str:
-    return tree_path + ".meta.json"
 
 
 def _wal_path(tree_path: str) -> str:
@@ -68,11 +77,7 @@ def _wal_path(tree_path: str) -> str:
 def _get_catalog(args: argparse.Namespace):
     """The ``--catalog`` flag as a loaded :class:`Catalog`, or None."""
     path = getattr(args, "catalog", None)
-    if path is None:
-        return None
-    from repro.catalog import Catalog
-
-    return Catalog(path)
+    return None if path is None else Catalog(path)
 
 
 def _deprecate_path_arg(ref: str) -> None:
@@ -97,7 +102,6 @@ def _open_input(
     catalog, the service and the shard workers use -- and a points
     file is bulk-loaded.
     """
-    from repro.catalog import open_tree
     from repro.errors import UnknownDatasetError
 
     if catalog is not None and ref in catalog:
@@ -132,9 +136,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     points = load_points(args.points)
     store = FilePageStore(args.tree, 1024)
     tree = bulk_load(points, file=PagedFile(store))
-    with open(_meta_path(args.tree), "w") as handle:
-        json.dump(tree.metadata(), handle)
     store.flush()
+    write_sidecar(args.tree, tree.metadata())
     store.close()
     print(
         f"built R*-tree over {len(points)} points: height {tree.height}, "
@@ -162,16 +165,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     points = load_points(args.points)
     pages = args.tree
     if os.path.exists(pages):
-        with open(_meta_path(pages)) as handle:
-            metadata = json.load(handle)
-        store = FilePageStore(pages, metadata["page_size"],
-                              use_mmap=args.mmap)
-        tree = RTree.from_storage(PagedFile(store), metadata)
+        tree = open_tree(pages, use_mmap=args.mmap, readonly=False)
     else:
-        store = FilePageStore(pages, 1024, use_mmap=args.mmap)
-        tree = RTree(RTreeConfig(), PagedFile(store))
-        with open(_meta_path(pages), "w") as handle:
-            json.dump(tree.metadata(), handle)
+        tree = RTree(RTreeConfig(), PagedFile(
+            FilePageStore(pages, 1024, use_mmap=args.mmap)
+        ))
+        write_sidecar(pages, tree.metadata())
+    store = tree.file.store
     wal = WriteAheadLog(args.wal or _wal_path(pages),
                         sync_mode=args.sync)
     tree.enable_live_mutation(wal)
@@ -213,8 +213,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         inserted += len(chunk)
 
     store.flush()
-    with open(_meta_path(pages), "w") as handle:
-        json.dump(tree.metadata(), handle)
+    write_sidecar(pages, tree.metadata())
     if not args.keep_wal:
         wal.checkpoint()
     wal.close()
@@ -238,18 +237,10 @@ def cmd_recover(args: argparse.Namespace) -> int:
     if not os.path.exists(wal_path):
         print(f"recover: no WAL at {wal_path}", file=sys.stderr)
         return 2
-    fallback = None
-    meta_path = _meta_path(pages)
-    if os.path.exists(meta_path):
-        with open(meta_path) as handle:
-            fallback = json.load(handle)
-    page_size = (fallback or {}).get("page_size", 1024)
-    dimension = (fallback or {}).get("dimension", 2)
-    variant = (fallback or {}).get("variant", "rstar")
-    tree, result = recover_tree(
-        pages, wal_path, page_size=page_size, dimension=dimension,
-        variant=variant, use_mmap=args.mmap, fallback_metadata=fallback,
-    )
+    fallback = (read_sidecar(pages)
+                if os.path.exists(meta_path(pages)) else None)
+    tree, result = recover_tree(pages, wal_path, use_mmap=args.mmap,
+                                fallback_metadata=fallback)
     print(f"# WAL: {result.batches_applied} committed batches replayed, "
           f"{result.pages_written} page images applied, "
           f"{result.discarded_batches} uncommitted discarded, "
@@ -258,8 +249,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
         print("recover: no committed state in the WAL and no "
               ".meta.json fallback", file=sys.stderr)
         return 1
-    with open(meta_path, "w") as handle:
-        json.dump(tree.metadata(), handle)
+    write_sidecar(pages, tree.metadata())
     print(f"recovered {pages} at generation {tree.generation}: "
           f"{len(tree)} points, height {tree.height}")
     tree.file.store.close()
@@ -282,28 +272,6 @@ def cmd_info(args: argparse.Namespace) -> int:
 #: Distinct from 1 (runtime failure) and 2 (bad invocation) so scripts
 #: can tell "pick another algorithm" from "something broke".
 EXIT_UNSUPPORTED_CAPABILITY = 3
-
-
-def _parse_range_arg(text: Optional[str], mode: str):
-    """Parse ``--range "xmin,ymin,xmax,ymax"`` into a RangeSpec.
-
-    Accepts any even number of comma-separated floats: the first half
-    is the low corner, the second half the high corner (corners are
-    sorted by the spec itself, so reversed windows are fine).
-    """
-    if text is None:
-        return None
-    from repro.core.constraints import RangeSpec
-
-    values = [float(part) for part in text.split(",") if part.strip()]
-    if len(values) < 2 or len(values) % 2 != 0:
-        raise ValueError(
-            f"--range wants an even number of coordinates "
-            f"(lo corner then hi corner), got {len(values)}"
-        )
-    half = len(values) // 2
-    return RangeSpec(lo=tuple(values[:half]), hi=tuple(values[half:]),
-                     mode=mode)
 
 
 def _parse_colors_arg(text: Optional[str], distinct: bool):
@@ -339,35 +307,54 @@ def _parse_colors_arg(text: Optional[str], distinct: bool):
     )
 
 
-def _constraints_from_args(args: argparse.Namespace):
-    """Build (RangeSpec | None, ColorSpec | None) from CLI flags."""
-    range_spec = _parse_range_arg(getattr(args, "range", None),
-                                  getattr(args, "range_mode", "both"))
-    color_spec = _parse_colors_arg(getattr(args, "colors", None),
-                                   getattr(args, "distinct", False))
-    return range_spec, color_spec
+def _request_fields(args: argparse.Namespace) -> dict:
+    """The :class:`CPQRequest` fields, all but the algorithm, that
+    ``query`` and ``explain`` build from their shared flags
+    (:func:`_add_cpq_args`).  ``--range`` is ``lo...,hi...``, split by
+    :meth:`~repro.core.constraints.RangeSpec.from_corners`."""
+    from repro.core.constraints import RangeSpec
+
+    range_spec = None
+    if args.range is not None:
+        range_spec = RangeSpec.from_corners(
+            [float(part) for part in args.range.split(",") if part.strip()],
+            args.range_mode,
+        )
+    return {
+        "k": args.k,
+        "buffer_pages": args.buffer,
+        "workers": args.workers,
+        "range": range_spec,
+        "colors": _parse_colors_arg(args.colors, args.distinct),
+    }
+
+
+def _open_pair(args: argparse.Namespace, *, use_mmap: bool = False,
+               warn_paths: bool = True, split_buffer: bool = False):
+    """``args.left`` and ``args.right`` through :func:`_open_input`;
+    ``split_buffer`` gives each tree half of ``--buffer``."""
+    catalog = _get_catalog(args)
+    trees = tuple(
+        _open_input(ref, catalog, use_mmap=use_mmap, warn_paths=warn_paths)
+        for ref in (args.left, args.right)
+    )
+    if split_buffer and args.buffer:
+        for tree in trees:
+            tree.file.set_buffer_capacity(args.buffer // 2)
+    return trees
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    from repro.errors import CatalogError, UnsupportedCapabilityError
+    from repro.errors import UnsupportedCapabilityError
 
     try:
-        catalog = _get_catalog(args)
-        tree_p = _open_input(args.left, catalog, use_mmap=args.mmap)
-        tree_q = _open_input(args.right, catalog, use_mmap=args.mmap)
-    except (CatalogError, FileNotFoundError) as exc:
+        tree_p, tree_q = _open_pair(args, use_mmap=args.mmap)
+    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        range_spec, color_spec = _constraints_from_args(args)
-        request = CPQRequest(
-            k=args.k,
-            algorithm=args.algorithm,
-            buffer_pages=args.buffer,
-            workers=args.workers,
-            range=range_spec,
-            colors=color_spec,
-        )
+        request = CPQRequest(algorithm=args.algorithm,
+                             **_request_fields(args))
         result = k_closest_pairs(tree_p, tree_q, request=request)
     except UnsupportedCapabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -382,8 +369,9 @@ def cmd_query(args: argparse.Namespace) -> int:
         f"accesses, {result.stats.node_pairs_visited} node pairs, "
         f"{result.stats.distance_computations} distance computations"
     )
-    if range_spec is not None or color_spec is not None:
-        print(f"# constraints: range={range_spec} colors={color_spec}")
+    if request.range is not None or request.colors is not None:
+        print(f"# constraints: range={request.range} "
+              f"colors={request.colors}")
     rcp = result.stats.extra.get("rcp")
     if rcp:
         print(f"# rcp: source={rcp['source']} "
@@ -409,20 +397,14 @@ def cmd_explain(args: argparse.Namespace) -> int:
     the cost-model planner and shows its evidence.
     """
     from repro.analysis.cost_model import TreeShape
-    from repro.errors import CatalogError, UnsupportedCapabilityError
+    from repro.errors import UnsupportedCapabilityError
     from repro.obs import Tracer, render_trace, write_trace_jsonl
     from repro.service.planner import Planner
 
     try:
-        catalog = _get_catalog(args)
-        tree_p = _open_input(args.left, catalog)
-        tree_q = _open_input(args.right, catalog)
-    except (CatalogError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        range_spec, color_spec = _constraints_from_args(args)
-    except ValueError as exc:
+        tree_p, tree_q = _open_pair(args)
+        fields = _request_fields(args)
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     tracer = Tracer()
@@ -430,25 +412,14 @@ def cmd_explain(args: argparse.Namespace) -> int:
         with tracer.span("request", kind="cpq", k=args.k) as root:
             algorithm = args.algorithm
             if algorithm == "auto":
-                def shape(tree):
-                    if tree.root_id is None or tree.dimension != 2:
-                        return None
-                    return TreeShape.from_tree(tree)
-
-                decision = Planner().plan(
-                    shape(tree_p), shape(tree_q), args.buffer, k=args.k,
-                    tracer=tracer, range_spec=range_spec,
-                )
-                algorithm = decision.algorithm
+                algorithm = Planner().plan(
+                    TreeShape.of(tree_p), TreeShape.of(tree_q),
+                    args.buffer, k=args.k, tracer=tracer,
+                    range_spec=fields["range"],
+                ).algorithm
             result = k_closest_pairs(
-                tree_p,
-                tree_q,
-                request=CPQRequest(
-                    k=args.k, algorithm=algorithm,
-                    buffer_pages=args.buffer,
-                    workers=args.workers,
-                    range=range_spec, colors=color_spec,
-                ),
+                tree_p, tree_q,
+                request=CPQRequest(algorithm=algorithm, **fields),
                 tracer=tracer,
             )
             root.annotate(algorithm=result.algorithm,
@@ -501,8 +472,7 @@ def cmd_join(args: argparse.Namespace) -> int:
     from repro.query import distance_range_join
     from repro.storage.stats import QueryStats
 
-    tree_p = _open_input(args.left, None, warn_paths=False)
-    tree_q = _open_input(args.right, None, warn_paths=False)
+    tree_p, tree_q = _open_pair(args, warn_paths=False)
     tree_p.file.reset_for_query()
     tree_q.file.reset_for_query()
     stats = QueryStats()
@@ -577,11 +547,7 @@ def _make_service(args: argparse.Namespace):
     from repro.obs import Tracer
     from repro.service import QueryService
 
-    tree_p = _open_input(args.left, None, warn_paths=False)
-    tree_q = _open_input(args.right, None, warn_paths=False)
-    if args.buffer:
-        tree_p.file.set_buffer_capacity(args.buffer // 2)
-        tree_q.file.set_buffer_capacity(args.buffer // 2)
+    tree_p, tree_q = _open_pair(args, warn_paths=False, split_buffer=True)
     service = QueryService(
         workers=args.workers,
         queue_size=args.queue_size,
@@ -682,8 +648,6 @@ def _file_backed_tree(path: str, scratch_dir: str, name: str) -> RTree:
     """
     if path.endswith(".pages"):
         return _open_input(path, None, warn_paths=False)
-    import os
-
     pages = os.path.join(scratch_dir, name + ".pages")
     store = FilePageStore(pages, page_size=1024)
     return bulk_load(load_points(path),
@@ -694,7 +658,6 @@ def cmd_serve_net(args: argparse.Namespace) -> int:
     import tempfile
     import time as time_mod
 
-    from repro.errors import CatalogError
     from repro.net import NetServer, ShardManager, tree_spec
     from repro.service import QueryService
 
@@ -705,18 +668,14 @@ def cmd_serve_net(args: argparse.Namespace) -> int:
             and args.left in catalog and args.right in catalog):
         # Catalog mode: shard specs come straight from the entries --
         # page path, snapshot generation, mmap/legacy flags included.
-        try:
-            specs = [
-                catalog.tree_spec(
-                    name,
-                    buffer_capacity=args.shard_buffer,
-                    read_latency=read_latency,
-                )
-                for name in (args.left, args.right)
-            ]
-        except CatalogError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        specs = [
+            catalog.tree_spec(
+                name,
+                buffer_capacity=args.shard_buffer,
+                read_latency=read_latency,
+            )
+            for name in (args.left, args.right)
+        ]
         if pair == "default":
             # CPQL derives pair names as "left,right"; match it so
             # SQL queries route through the shard tier.
@@ -823,6 +782,18 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _serial_pairs(tree_p: RTree, tree_q: RTree, k: int,
+                  algorithms=CORE_ALGORITHMS) -> dict:
+    """Fault-free serial answers per algorithm: the baselines
+    ``chaos`` and ``chaos-net`` hold their faulted runs to."""
+    return {
+        algorithm: k_closest_pairs(
+            tree_p, tree_q, request=CPQRequest(k=k, algorithm=algorithm),
+        ).pairs
+        for algorithm in algorithms
+    }
+
+
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Run a K-CPQ workload under an injected fault schedule.
 
@@ -862,31 +833,19 @@ def cmd_chaos(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    tree_p = _open_input(args.left, None, warn_paths=False)
-    tree_q = _open_input(args.right, None, warn_paths=False)
-    if args.buffer:
-        tree_p.file.set_buffer_capacity(args.buffer // 2)
-        tree_q.file.set_buffer_capacity(args.buffer // 2)
-    # The paper's five two-tree algorithms; the registry's extensions
-    # (self/semi/multiway/incremental) have their own call shapes and
-    # are opt-in via --algorithms.
-    core = ("naive", "exh", "sim", "std", "heap")
+    tree_p, tree_q = _open_pair(args, warn_paths=False, split_buffer=True)
+    # The registry's extensions (self/semi/multiway/incremental) have
+    # their own call shapes and are opt-in via --algorithms.
     algorithms = (
         tuple(args.algorithms.split(","))
-        if args.algorithms else core
+        if args.algorithms else CORE_ALGORITHMS
     )
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
             print(f"unknown algorithm {algorithm!r}", file=sys.stderr)
             return 2
 
-    baselines = {}
-    for algorithm in algorithms:
-        result = k_closest_pairs(
-            tree_p, tree_q,
-            request=CPQRequest(k=args.k, algorithm=algorithm),
-        )
-        baselines[algorithm] = result.pairs
+    baselines = _serial_pairs(tree_p, tree_q, args.k, algorithms)
 
     plan = dataclasses.replace(SCHEDULES[args.schedule], seed=args.seed)
     wrapper_p = wrap_tree_store(tree_p, plan)
@@ -965,7 +924,6 @@ def _chaos_net_round(schedule: str, plan, shards: int,
     from repro.service import CPQRequest as ServiceCPQ, QueryService
     from repro.storage.wal import WALCheckpointer, WriteAheadLog
 
-    core = ("naive", "exh", "sim", "std", "heap")
     problems: List[str] = []
     scratch = tempfile.mkdtemp(prefix="repro-chaos-net-")
     manager = server = client = checkpointer = None
@@ -983,9 +941,7 @@ def _chaos_net_round(schedule: str, plan, shards: int,
         tree_q = bulk_load(points_q,
                            file=PagedFile(FilePageStore(q_path, 1024)))
         tree_q.file.store.flush()
-        meta_p = _meta_path(p_path)
-        with open(meta_p, "w") as handle:
-            json.dump(tree_p.metadata(), handle)
+        write_sidecar(p_path, tree_p.metadata())
         wal = WriteAheadLog(_wal_path(p_path), sync_mode="none")
         tree_p.enable_live_mutation(wal)
         # Pin the serving generation for the whole faulted phase: the
@@ -995,14 +951,8 @@ def _chaos_net_round(schedule: str, plan, shards: int,
 
         spec_p = tree_spec(tree_p, buffer_capacity=32)
         spec_q = tree_spec(tree_q, buffer_capacity=32)
-        reader_p, reader_q = spec_p.open(), spec_q.open()
-        baselines = {
-            algorithm: k_closest_pairs(
-                reader_p, reader_q,
-                request=CPQRequest(k=args.k, algorithm=algorithm),
-            ).pairs
-            for algorithm in core
-        }
+        reader_q = spec_q.open()
+        baselines = _serial_pairs(spec_p.open(), reader_q, args.k)
 
         transport = FaultyShardTransport(plan)
         manager = ShardManager(
@@ -1034,7 +984,7 @@ def _chaos_net_round(schedule: str, plan, shards: int,
         # store, rewrites the sidecar and empties the log -- the event
         # that makes the post-ingest hot reload meaningful.
         checkpointer = WALCheckpointer(
-            wal, lambda: tree_p.checkpoint_wal(meta_p),
+            wal, lambda: tree_p.checkpoint_wal(meta_path(p_path)),
             threshold_bytes=args.checkpoint_bytes, interval_s=0.05,
         ).start()
         extra = uniform_points(args.ingest_n, UNIT_WORKSPACE,
@@ -1060,30 +1010,27 @@ def _chaos_net_round(schedule: str, plan, shards: int,
                                          name="chaos-net-ingest")
         ingest_thread.start()
 
-        # Phase 1: query the pinned generation under wire faults while
-        # the writer mutates underneath.  Recover mode means every
-        # answer must be byte-identical to the serial baseline.
-        for repeat in range(args.repeat):
-            for algorithm in core:
+        def check(expected: dict, label: str) -> None:
+            for algorithm in CORE_ALGORITHMS:
                 response = client.query(ServiceCPQ(
                     pair="default", k=args.k, algorithm=algorithm,
                     use_cache=False,
                 ))
                 if not response.ok:
-                    problems.append(
-                        f"{algorithm} run {repeat}: status "
-                        f"{response.status}: {response.error}"
-                    )
+                    problems.append(f"{algorithm} {label}: status "
+                                    f"{response.status}: {response.error}")
                 elif response.partial:
-                    problems.append(
-                        f"{algorithm} run {repeat}: partial answer in "
-                        f"recover mode"
-                    )
-                elif response.result.pairs != baselines[algorithm]:
-                    problems.append(
-                        f"{algorithm} run {repeat}: WRONG ANSWER under "
-                        f"faults -- this is a bug"
-                    )
+                    problems.append(f"{algorithm} {label}: partial answer "
+                                    f"in recover mode")
+                elif response.result.pairs != expected[algorithm]:
+                    problems.append(f"{algorithm} {label}: WRONG ANSWER "
+                                    f"under faults -- this is a bug")
+
+        # Phase 1: query the pinned generation under wire faults while
+        # the writer mutates underneath.  Recover mode means every
+        # answer must be byte-identical to the serial baseline.
+        for repeat in range(args.repeat):
+            check(baselines, f"run {repeat}")
 
         ingest_thread.join(60.0)
         if ingest_thread.is_alive():
@@ -1104,25 +1051,8 @@ def _chaos_net_round(schedule: str, plan, shards: int,
         reload_report = manager.reload(new_spec_p, spec_q)
         tree_p.release(writer_pin)
         service.register_pair("default", manager.tree_p, manager.tree_q)
-        fresh_p = new_spec_p.open()
-        for algorithm in core:
-            expected = k_closest_pairs(
-                fresh_p, reader_q,
-                request=CPQRequest(k=args.k, algorithm=algorithm),
-            ).pairs
-            response = client.query(ServiceCPQ(
-                pair="default", k=args.k, algorithm=algorithm,
-                use_cache=False,
-            ))
-            if not response.ok:
-                problems.append(
-                    f"{algorithm} post-reload: status {response.status}"
-                )
-            elif response.result.pairs != expected:
-                problems.append(
-                    f"{algorithm} post-reload: WRONG ANSWER at "
-                    f"generation {new_spec_p.generation}"
-                )
+        check(_serial_pairs(new_spec_p.open(), reader_q, args.k),
+              f"post-reload at generation {new_spec_p.generation}")
 
         healthz = client.healthz()
         net = manager.net_stats()
@@ -1249,7 +1179,7 @@ def cmd_sql(args: argparse.Namespace) -> int:
     Exit codes follow ``query``: 0 ok, 2 bad statement / unknown
     dataset, 3 capability mismatch, 1 runtime failure.
     """
-    from repro.errors import CatalogError, CPQLError
+    from repro.errors import CPQLError
     from repro.query.cpql import parse_cpql
 
     statement = args.query
@@ -1286,11 +1216,7 @@ def cmd_sql(args: argparse.Namespace) -> int:
         return 2
     from repro.service import QueryService
 
-    try:
-        catalog = _get_catalog(args)
-    except CatalogError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    catalog = _get_catalog(args)
     service = QueryService(
         workers=args.workers,
         cache_size=0 if args.no_cache else 128,
@@ -1303,36 +1229,26 @@ def cmd_sql(args: argparse.Namespace) -> int:
             parsed, deadline_ms=args.deadline_ms,
             use_cache=not args.no_cache,
         )
-    except CatalogError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     finally:
         service.close()
     return _print_cpq_response(response, args.json)
 
 
 def cmd_catalog_register(args: argparse.Namespace) -> int:
-    from repro.catalog import Catalog
-    from repro.errors import CatalogError
-
     points = load_points(args.points)
-    catalog = Catalog(args.catalog)
-    try:
-        entry = catalog.register_dataset(
-            args.name,
-            points,
-            kind=args.kind,
-            extra_kinds=tuple(
-                k for k in (args.extra_kinds or "").split(",") if k
-            ),
-            page_size=args.page_size,
-            source=args.points,
-            overwrite=args.overwrite,
-            use_mmap=args.mmap,
-        )
-    except CatalogError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    catalog = _get_catalog(args)
+    entry = catalog.register_dataset(
+        args.name,
+        points,
+        kind=args.kind,
+        extra_kinds=tuple(
+            k for k in (args.extra_kinds or "").split(",") if k
+        ),
+        page_size=args.page_size,
+        source=args.points,
+        overwrite=args.overwrite,
+        use_mmap=args.mmap,
+    )
     built = entry.index(entry.default_kind)
     line = (f"registered {args.name!r}: {entry.count} points, "
             f"kinds [{', '.join(entry.kinds())}], default "
@@ -1361,14 +1277,8 @@ def cmd_catalog_list(args: argparse.Namespace) -> int:
 
 
 def cmd_catalog_info(args: argparse.Namespace) -> int:
-    from repro.errors import CatalogError
-
     catalog = _get_catalog(args)
-    try:
-        entry = catalog.dataset(args.name)
-    except CatalogError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    entry = catalog.dataset(args.name)
     print(f"dataset: {entry.name}")
     print(f"  points:    {entry.count}")
     print(f"  dimension: {entry.dimension}")
@@ -1377,10 +1287,11 @@ def cmd_catalog_info(args: argparse.Namespace) -> int:
         print(f"  source:    {entry.source}")
     for kind in entry.kinds():
         index = entry.indexes[kind]
-        print(f"  [{kind}] {os.path.relpath(index.path, catalog.base_dir)}"
-              f"  page_size={index.page_size}"
-              f"  generation={index.generation}"
-              f"  mmap={index.use_mmap}")
+        spec = index.spec
+        print(f"  [{kind}] {os.path.relpath(spec.path, catalog.base_dir)}"
+              f"  page_size={spec.page_size}"
+              f"  generation={spec.generation}"
+              f"  mmap={spec.use_mmap}")
         for key in ("height", "nodes", "build_s"):
             if key in index.build:
                 print(f"        {key}: {index.build[key]}")
@@ -1391,14 +1302,8 @@ def cmd_catalog_info(args: argparse.Namespace) -> int:
 
 
 def cmd_catalog_remove(args: argparse.Namespace) -> int:
-    from repro.errors import CatalogError
-
     catalog = _get_catalog(args)
-    try:
-        catalog.remove_dataset(args.name, delete_files=args.delete_files)
-    except CatalogError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    catalog.remove_dataset(args.name, delete_files=args.delete_files)
     print(f"removed {args.name!r} from {catalog.path}")
     return 0
 
@@ -1414,8 +1319,25 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_constraint_flags(parser: argparse.ArgumentParser) -> None:
-    """Attach the range/colored query-family flags to a subcommand."""
+def _add_cpq_args(parser: argparse.ArgumentParser, algorithms,
+                  default: str) -> None:
+    """The flags ``query`` and ``explain`` share (read back by
+    :func:`_open_pair` and :func:`_request_fields`)."""
+    for side in ("left", "right"):
+        parser.add_argument(side,
+                            help="catalog dataset name (with --catalog), "
+                                 "or points file / .pages tree "
+                                 "(deprecated)")
+    parser.add_argument("--catalog", default=None,
+                        help="dataset catalog (dir or catalog.json) to "
+                             "resolve names against")
+    parser.add_argument("--k", type=int, default=1)
+    parser.add_argument("--algorithm", choices=algorithms, default=default)
+    parser.add_argument("--buffer", type=int, default=0,
+                        help="total LRU buffer pages (B/2 per tree)")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="intra-query worker threads (partitioned "
+                             "executor); results are byte-identical")
     parser.add_argument(
         "--range", default=None, metavar="LO...,HI...",
         help="restrict qualifying points to a window, e.g. "
@@ -1524,57 +1446,21 @@ def build_parser() -> argparse.ArgumentParser:
     query = sub.add_parser(
         "query", help="run a K closest pairs query"
     )
-    query.add_argument("left",
-                       help="catalog dataset name (with --catalog), or "
-                            "points file / .pages tree (deprecated)")
-    query.add_argument("right",
-                       help="catalog dataset name (with --catalog), or "
-                            "points file / .pages tree (deprecated)")
-    query.add_argument("--catalog", default=None,
-                       help="dataset catalog (dir or catalog.json) to "
-                            "resolve names against")
-    query.add_argument("--k", type=int, default=1)
-    query.add_argument("--algorithm", choices=ALGORITHMS, default="heap")
-    query.add_argument("--buffer", type=int, default=0,
-                       help="total LRU buffer pages (B/2 per tree)")
-    query.add_argument("--workers", type=int, default=1,
-                       help="intra-query worker threads (partitioned "
-                            "executor); results are byte-identical")
+    _add_cpq_args(query, ALGORITHMS, "heap")
     query.add_argument("--mmap", action="store_true",
                        help="read .pages inputs through the mmap path")
-    _add_constraint_flags(query)
     query.set_defaults(func=cmd_query)
 
     explain = sub.add_parser(
         "explain",
-        help="run a K-CPQ traced and print the EXPLAIN-style span tree",
+        help="run a K-CPQ traced and print the EXPLAIN-style span tree "
+             "(--algorithm auto also traces the planner decision)",
     )
-    explain.add_argument("left",
-                         help="catalog dataset name (with --catalog), "
-                              "or points file / .pages tree "
-                              "(deprecated)")
-    explain.add_argument("right",
-                         help="catalog dataset name (with --catalog), "
-                              "or points file / .pages tree "
-                              "(deprecated)")
-    explain.add_argument("--catalog", default=None,
-                         help="dataset catalog (dir or catalog.json) "
-                              "to resolve names against")
-    explain.add_argument("--k", type=int, default=1)
-    explain.add_argument("--algorithm",
-                         choices=("auto",) + tuple(ALGORITHMS),
-                         default="auto",
-                         help="'auto' also traces the planner decision")
-    explain.add_argument("--buffer", type=int, default=0,
-                         help="total LRU buffer pages (B/2 per tree)")
+    _add_cpq_args(explain, ("auto",) + tuple(ALGORITHMS), "auto")
     explain.add_argument("--trace", default=None,
                          help="also write the spans as JSONL here")
     explain.add_argument("--no-times", action="store_true",
                          help="omit durations (deterministic output)")
-    explain.add_argument("--workers", type=int, default=1,
-                         help="intra-query worker threads; the trace "
-                              "gains per-worker summary spans")
-    _add_constraint_flags(explain)
     explain.set_defaults(func=cmd_explain)
 
     knn = sub.add_parser("knn", help="k nearest neighbours of a point")
@@ -1882,7 +1768,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CatalogError as exc:
+        # One exit for every command: an unknown dataset, a bad catalog
+        # or an incomplete sidecar is a bad invocation, not a crash.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 
 #: Which side(s) of the pair the window restricts.
@@ -92,6 +92,20 @@ class RangeSpec:
             return cls(tuple(lo), tuple(hi))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad range {value!r}: {exc}") from exc
+
+    @classmethod
+    def from_corners(cls, values: Sequence[float],
+                     mode: str = "both") -> "RangeSpec":
+        """A window from flat coordinates: an even count, the low
+        corner's then the high corner's (``--range`` and CPQL
+        ``RANGE`` both spell windows this way)."""
+        if len(values) < 2 or len(values) % 2 != 0:
+            raise ValueError(
+                f"a range wants an even number of coordinates (low "
+                f"corner then high corner), got {len(values)}"
+            )
+        half = len(values) // 2
+        return cls(tuple(values[:half]), tuple(values[half:]), mode)
 
     @property
     def dimension(self) -> int:

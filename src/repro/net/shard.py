@@ -84,9 +84,10 @@ import itertools
 import random
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.catalog.core import TreeSpec, tree_spec  # noqa: F401 (re-export)
 from repro.core.engine import CPQContext, traced_traversal
 from repro.core.parallel import PartitionTask, partition_tasks, run_chunk
 from repro.core.result import CPQResult
@@ -94,7 +95,6 @@ from repro.net.frames import FrameError, decode_frame, encode_frame
 from repro.net.retry import SHARD_RETRY_POLICY, HedgePolicy, RetryPolicy
 from repro.rtree.tree import RTree
 from repro.service.breaker import CircuitBreaker
-from repro.storage.store import FilePageStore
 
 #: How shard loss affects in-flight queries.
 FAILURE_MODES = ("recover", "partial")
@@ -113,94 +113,6 @@ _QUICK_DEATH_S = 5.0
 
 #: Upper bound on the supervisor's capped respawn backoff.
 _MAX_RESPAWN_BACKOFF_S = 5.0
-
-
-@dataclass(frozen=True)
-class TreeSpec:
-    """Everything a process needs to reopen one persistent tree.
-
-    ``metadata`` is the :meth:`~repro.rtree.tree.RTree.metadata` dict
-    *pinned at a committed generation* (see :func:`tree_spec`):
-    because live mutation is copy-on-write, the pages reachable from
-    that root are immutable on disk, so shard processes reopening the
-    spec read a consistent tree even while the coordinator's writer
-    keeps committing batches.  ``read_latency`` models the device seek
-    exactly as :class:`~repro.storage.paged_file.PagedFile` does
-    (benchmarks use it to put shards in the disk-bound regime);
-    ``use_mmap`` reopens the store with the mmap read path and
-    ``allow_legacy_pages`` accepts version-0 (pre-checksum) pages.
-    """
-
-    path: str
-    page_size: int
-    metadata: Any
-    buffer_capacity: int = 64
-    read_latency: float = 0.0
-    use_mmap: bool = False
-    allow_legacy_pages: bool = False
-
-    @property
-    def generation(self) -> int:
-        """The committed generation this spec reopens at."""
-        return int(self.metadata.get("generation", 0))
-
-    def open(self) -> RTree:
-        # One reopen path for the whole system: the catalog owns the
-        # (path, metadata, flags) -> RTree logic, so shard workers and
-        # service registration cannot drift on snapshot-generation or
-        # mmap handling.
-        from repro.catalog.core import open_tree
-
-        return open_tree(
-            self.path,
-            metadata=dict(self.metadata),
-            page_size=self.page_size,
-            use_mmap=self.use_mmap,
-            readonly=True,
-            buffer_capacity=self.buffer_capacity,
-            read_latency=self.read_latency,
-            allow_legacy_pages=self.allow_legacy_pages,
-        )
-
-
-def tree_spec(tree: RTree, buffer_capacity: Optional[int] = None,
-              read_latency: Optional[float] = None,
-              use_mmap: bool = False) -> TreeSpec:
-    """Describe an open file-backed tree for shard reopening.
-
-    The spec captures the tree's *committed snapshot*
-    (:meth:`~repro.rtree.tree.RTree.committed`), not its live fields:
-    an open mutation batch on a live tree writes only copy-on-write
-    pages, so after the flush below the committed root and everything
-    reachable from it are durable and immutable -- exactly what a
-    shard process must see.
-    """
-    store = tree.file.store
-    if not isinstance(store, FilePageStore):
-        raise ValueError(
-            "sharding requires file-backed trees (FilePageStore); "
-            "in-memory trees cannot be reopened by shard processes"
-        )
-    store.flush()
-    snapshot = tree.committed()
-    metadata = dict(tree.metadata())
-    metadata.update(
-        root_id=snapshot.root_id,
-        height=snapshot.height,
-        count=snapshot.count,
-        generation=snapshot.generation,
-    )
-    return TreeSpec(
-        path=store.path,
-        page_size=store.page_size,
-        metadata=metadata,
-        buffer_capacity=(tree.file.buffer.capacity
-                         if buffer_capacity is None else buffer_capacity),
-        read_latency=(tree.file.read_latency
-                      if read_latency is None else read_latency),
-        use_mmap=use_mmap,
-        allow_legacy_pages=tree.config.allow_legacy_pages,
-    )
 
 
 # ---------------------------------------------------------------------------

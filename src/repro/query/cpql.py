@@ -347,12 +347,6 @@ class _Parser:
             self.take_punct(",")
             values.append(self.take_number("a coordinate"))
         self.take_punct(")")
-        if len(values) < 2 or len(values) % 2 != 0:
-            raise self.error(
-                f"RANGE wants an even number of coordinates "
-                f"(low corner then high corner), got {len(values)}",
-                keyword,
-            )
         mode = "both"
         if self.accept_keyword("ON"):
             side = self.current
@@ -362,10 +356,8 @@ class _Parser:
                     break
             else:
                 raise self.error("expected P, Q or BOTH", side)
-        half = len(values) // 2
         try:
-            return RangeSpec(lo=tuple(values[:half]),
-                             hi=tuple(values[half:]), mode=mode)
+            return RangeSpec.from_corners(values, mode)
         except ValueError as exc:
             raise CPQLError(str(exc), source=self.source,
                             position=keyword.position) from exc

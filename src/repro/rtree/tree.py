@@ -35,7 +35,6 @@ before it is published.  See ``docs/STORAGE.md``.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -434,8 +433,10 @@ class RTree:
         batch (the background :class:`~repro.storage.wal.
         WALCheckpointer` calls this from its own thread).
 
-        Returns False when no WAL is attached.  Idempotent: an empty
-        log checkpoints to an empty log.
+        ``meta_path`` names the sidecar (``<pages>.meta.json``, see
+        :func:`repro.catalog.write_sidecar`).  Returns False when no
+        WAL is attached.  Idempotent: an empty log checkpoints to an
+        empty log.
         """
         if self._wal is None:
             return False
@@ -444,20 +445,13 @@ class RTree:
             if store is not None and hasattr(store, "flush"):
                 store.flush()
             if meta_path is not None:
-                import json
+                # Imported lazily: the catalog builds on this module.
+                from repro.catalog.core import SIDECAR_SUFFIX, write_sidecar
 
-                snapshot = self.committed()
-                metadata = dict(self.metadata())
-                metadata.update(
-                    root_id=snapshot.root_id,
-                    height=snapshot.height,
-                    count=snapshot.count,
-                    generation=snapshot.generation,
-                )
-                tmp = meta_path + ".tmp"
-                with open(tmp, "w", encoding="utf-8") as handle:
-                    json.dump(metadata, handle)
-                os.replace(tmp, meta_path)
+                if not meta_path.endswith(SIDECAR_SUFFIX):
+                    raise ValueError(f"{meta_path!r} is not a sidecar path")
+                write_sidecar(meta_path[:-len(SIDECAR_SUFFIX)],
+                              self.metadata())
             self._wal.checkpoint()
         return True
 
@@ -769,35 +763,22 @@ class RTree:
         """The out-of-page state needed to reopen this tree later.
 
         Pages carry all node data; this dict carries the root pointer
-        and counters.  Store it next to a :class:`FilePageStore` file
-        (e.g. as JSON) and pass it to :meth:`from_storage`.
+        and counters of the last *committed* snapshot
+        (:meth:`committed`), so it never names the copy-on-write pages
+        of an open batch.  :func:`repro.catalog.write_sidecar` stores
+        it next to the page file and :func:`repro.catalog.open_tree`
+        reopens the tree from it.
         """
+        snapshot = self.committed()
         return {
-            "root_id": self.root_id,
-            "height": self.height,
-            "count": self._count,
-            "generation": self.generation,
+            "root_id": snapshot.root_id,
+            "height": snapshot.height,
+            "count": snapshot.count,
+            "generation": snapshot.generation,
             "variant": self.config.variant,
             "page_size": self.config.layout.page_size,
             "dimension": self.config.layout.dimension,
         }
-
-    @classmethod
-    def from_storage(cls, file: PagedFile, metadata: dict) -> "RTree":
-        """Reopen a tree over existing pages (see :meth:`metadata`)."""
-        config = RTreeConfig(
-            layout=PageLayout(
-                page_size=int(metadata["page_size"]),
-                dimension=int(metadata["dimension"]),
-            ),
-            variant=metadata.get("variant", "rstar"),
-        )
-        tree = cls(config, file)
-        tree.root_id = metadata["root_id"]
-        tree.height = int(metadata["height"])
-        tree._count = int(metadata["count"])
-        tree.generation = int(metadata.get("generation", 0))
-        return tree
 
     # -- iteration ----------------------------------------------------------------
 

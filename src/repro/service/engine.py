@@ -1159,14 +1159,6 @@ class QueryService:
         """
         with pair.lock:
             if pair.shapes is None:
-                pair.shapes = (
-                    self._shape_or_none(pair.tree_p),
-                    self._shape_or_none(pair.tree_q),
-                )
+                pair.shapes = (TreeShape.of(pair.tree_p),
+                               TreeShape.of(pair.tree_q))
             return pair.shapes
-
-    @staticmethod
-    def _shape_or_none(tree: RTree) -> Optional[TreeShape]:
-        if tree.root_id is None or tree.dimension != 2:
-            return None
-        return TreeShape.from_tree(tree)

@@ -100,19 +100,6 @@ class RecoveryResult:
     #: Batches that had begun but never committed (0 or 1 in practice).
     discarded_batches: int = 0
 
-    def metadata(self, page_size: int, dimension: int = 2,
-                 variant: str = "rstar") -> dict:
-        """The :meth:`repro.rtree.tree.RTree.metadata` dict to reopen at."""
-        return {
-            "root_id": self.root_id,
-            "height": self.height,
-            "count": self.count,
-            "generation": self.generation or 0,
-            "variant": variant,
-            "page_size": page_size,
-            "dimension": dimension,
-        }
-
 
 @dataclass
 class WALStats:
@@ -415,33 +402,35 @@ def recover_tree(pages_path: str, wal_path: str, page_size: int = 1024,
     """Replay a WAL onto a page file and reopen the tree it describes.
 
     The one-call crash-recovery entry point used by ``repro-cpq
-    recover`` and the chaos tests: opens the page store, applies every
-    committed batch, truncates the torn tail, and returns
-    ``(tree, result)`` where the tree is positioned at the last
-    committed snapshot.  When the log holds no committed batch, the
-    tree reopens at ``fallback_metadata`` (the sidecar ``.meta.json``
-    from before the crashed ingest) when given, else ``(None, result)``
-    is returned.
+    recover`` and the chaos tests: applies every committed batch to
+    the page file, truncates the torn tail, and returns ``(tree,
+    result)`` where the tree -- reopened writable through
+    :func:`repro.catalog.open_tree` -- is positioned at the last
+    committed snapshot.  ``fallback_metadata`` (the sidecar
+    ``.meta.json`` from before the crashed ingest) supplies the page
+    size, dimension and variant when given, and the whole position
+    when the log holds no committed batch; without either, ``(None,
+    result)`` is returned.
     """
-    from repro.rtree.tree import RTree
-    from repro.storage.paged_file import PagedFile
+    from repro.catalog.core import open_tree
     from repro.storage.store import FilePageStore
 
-    store = FilePageStore(pages_path, page_size, use_mmap=use_mmap)
-    with WriteAheadLog(wal_path, sync_mode="none") as wal:
-        result = wal.recover_into(store)
-        wal.truncate_torn_tail()
-    store.flush()
+    metadata = {"page_size": page_size, "dimension": dimension,
+                "variant": variant, **(fallback_metadata or {})}
+    store = FilePageStore(pages_path, int(metadata["page_size"]),
+                          use_mmap=use_mmap)
+    try:
+        with WriteAheadLog(wal_path, sync_mode="none") as wal:
+            result = wal.recover_into(store)
+            wal.truncate_torn_tail()
+    finally:
+        store.close()
     if result.generation is None:
         if fallback_metadata is None:
-            store.close()
             return None, result
-        metadata = dict(fallback_metadata)
     else:
-        metadata = result.metadata(
-            page_size, dimension=dimension, variant=variant
-        )
-    tree = RTree.from_storage(
-        PagedFile(store, page_size=page_size), metadata
-    )
+        metadata.update(root_id=result.root_id, height=result.height,
+                        count=result.count, generation=result.generation)
+    tree = open_tree(pages_path, metadata=metadata, use_mmap=use_mmap,
+                     readonly=False)
     return tree, result

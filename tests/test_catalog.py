@@ -132,7 +132,7 @@ class TestPersistence:
 
     def test_remove_dataset(self, catalog, tmp_path):
         catalog.register_dataset("gone", _points(15), kind="str")
-        pages = catalog.dataset("gone").index().path
+        pages = catalog.dataset("gone").index().spec.path
         catalog.remove_dataset("gone", delete_files=True)
         assert "gone" not in catalog
         assert not os.path.exists(pages)
@@ -157,7 +157,7 @@ class TestLookups:
 
     def test_missing_page_file_detected(self, catalog):
         catalog.register_dataset("lost", _points(10), kind="str")
-        os.remove(catalog.dataset("lost").index().path)
+        os.remove(catalog.dataset("lost").index().spec.path)
         with pytest.raises(CatalogError, match="missing page file"):
             catalog.open_dataset("lost")
 
@@ -183,7 +183,7 @@ class TestLookups:
 class TestAdoptPages:
     def test_adopt_existing_pages(self, catalog, tmp_path):
         catalog.register_dataset("orig", _points(80), kind="str")
-        pages = catalog.dataset("orig").index().path
+        pages = catalog.dataset("orig").index().spec.path
         other = Catalog(str(tmp_path / "other"))
         entry = other.adopt_pages("adopted", pages, kind="str")
         assert entry.count == 80
@@ -194,16 +194,6 @@ class TestAdoptPages:
             tree.file.store.close()
         assert "adopted" in Catalog(str(tmp_path / "other"))
 
-    def test_adopt_persist_false_writes_nothing(self, catalog, tmp_path):
-        catalog.register_dataset("mem", _points(30), kind="str")
-        pages = catalog.dataset("mem").index().path
-        scratch_dir = tmp_path / "scratch"
-        scratch_dir.mkdir()
-        scratch = Catalog(str(scratch_dir))
-        scratch.adopt_pages("tmp", pages, kind="str", persist=False)
-        assert "tmp" in scratch
-        assert not os.path.exists(scratch.path)
-
     def test_adopt_missing_file_rejected(self, catalog):
         with pytest.raises(CatalogError, match="no page file"):
             catalog.adopt_pages("ghost", "/nonexistent.pages")
@@ -212,7 +202,7 @@ class TestAdoptPages:
 class TestOpenTree:
     def test_sidecar_metadata_used(self, catalog):
         catalog.register_dataset("side", _points(60), kind="str")
-        path = catalog.dataset("side").index().path
+        path = catalog.dataset("side").index().spec.path
         tree = open_tree(path)
         try:
             assert len(tree) == 60
@@ -221,7 +211,7 @@ class TestOpenTree:
 
     def test_missing_sidecar_reported(self, catalog, tmp_path):
         catalog.register_dataset("nos", _points(10), kind="str")
-        path = catalog.dataset("nos").index().path
+        path = catalog.dataset("nos").index().spec.path
         os.remove(meta_path(path))
         with pytest.raises(CatalogError, match="sidecar"):
             open_tree(path)
@@ -278,8 +268,8 @@ class TestLegacyPages:
         shard tier with the flag: its ``TreeSpec`` reopens version-0
         pages exactly as :meth:`Catalog.open_dataset` does."""
         catalog.register_dataset("orig", _points(120), kind="str")
-        pages = catalog.dataset("orig").index().path
-        page_size = catalog.dataset("orig").index().page_size
+        pages = catalog.dataset("orig").index().spec.path
+        page_size = catalog.dataset("orig").index().spec.page_size
         # Demote every page to a pre-checksum (version 0) image.
         with open(pages, "r+b") as handle:
             size = os.path.getsize(pages)

@@ -21,13 +21,12 @@ import sys
 
 import pytest
 
+from repro.catalog import open_tree
 from repro.core import CPQRequest, k_closest_pairs
 from repro.rtree.bulk import bulk_load
 from repro.rtree.tree import RTree, RTreeConfig
 from repro.rtree.validate import validate
 from repro.storage.faults import tear_file_tail
-from repro.storage.paged_file import PagedFile
-from repro.storage.store import FilePageStore
 from repro.storage.wal import WriteAheadLog, recover_tree
 
 ALGORITHMS = ("naive", "exh", "sim", "std", "heap")
@@ -122,8 +121,7 @@ class TestCrashRecovery:
         assert metadata["count"] == committed
         assert metadata["generation"] == CRASH_AFTER
 
-        store = FilePageStore(pages, metadata["page_size"])
-        recovered = RTree.from_storage(PagedFile(store), metadata)
+        recovered = open_tree(pages, metadata=metadata)
         validate(recovered)
         baseline = baseline_tree(points)
         assert len(recovered) == len(baseline) == committed
@@ -142,7 +140,7 @@ class TestCrashRecovery:
             assert pairs_signature(got) == pairs_signature(expected), (
                 f"{algorithm}: recovered tree disagrees with baseline"
             )
-        store.close()
+        recovered.file.store.close()
 
     def test_recovery_is_idempotent(self, crashed_workdir):
         __, __, pages = crashed_workdir
@@ -160,13 +158,11 @@ class TestCrashRecovery:
         request = CPQRequest(k=7, algorithm="heap")
         results = []
         for use_mmap in (False, True):
-            store = FilePageStore(pages, metadata["page_size"],
-                                  readonly=True, use_mmap=use_mmap)
-            tree = RTree.from_storage(PagedFile(store), metadata)
+            tree = open_tree(pages, metadata=metadata, use_mmap=use_mmap)
             results.append(pairs_signature(
                 k_closest_pairs(tree, query_side, request=request)
             ))
-            store.close()
+            tree.file.store.close()
         assert results[0] == results[1]
 
 
@@ -191,8 +187,7 @@ class TestTornWal:
         batches = metadata["generation"]
         assert batches in (CRASH_AFTER - 1, CRASH_AFTER)
         assert metadata["count"] == batches * BATCH
-        store = FilePageStore(pages, metadata["page_size"])
-        recovered = RTree.from_storage(PagedFile(store), metadata)
+        recovered = open_tree(pages, metadata=metadata)
         validate(recovered)
         baseline = baseline_tree(points, batches=batches)
         request = CPQRequest(k=5, algorithm="heap")
@@ -201,7 +196,7 @@ class TestTornWal:
         ) == pairs_signature(
             k_closest_pairs(baseline, query_side, request=request)
         )
-        store.close()
+        recovered.file.store.close()
 
     def test_clean_shutdown_keep_wal_replays_everything(self, tmp_path):
         points = make_points(120, seed=5)

@@ -3,6 +3,7 @@
 import math
 import random
 
+from repro.catalog import open_tree
 from repro.query import nearest_neighbors, range_query
 from repro.geometry.mbr import MBR
 from repro.rtree.bulk import bulk_load
@@ -23,8 +24,7 @@ def test_tree_roundtrip_through_file(tmp_path):
     store.flush()
     store.close()
 
-    reopened_store = FilePageStore(path, 1024)
-    reopened = RTree.from_storage(PagedFile(reopened_store), meta)
+    reopened = open_tree(path, metadata=meta)
     assert len(reopened) == len(points)
     validate(reopened)
 
@@ -40,7 +40,7 @@ def test_tree_roundtrip_through_file(tmp_path):
     assert [round(d, 12) for d, __ in found] == [
         round(d, 12) for d in brute
     ]
-    reopened_store.close()
+    reopened.file.store.close()
 
 
 def test_metadata_fields():
