@@ -140,8 +140,7 @@ def bench_recovery(workdir: str, n: int, batch_size: int) -> dict:
     store.close()
 
     start = time.perf_counter()
-    recovered, result = recover_tree(prefix + ".pages", prefix + ".wal",
-                                     page_size=1024)
+    recovered, result = recover_tree(prefix + ".pages", prefix + ".wal")
     elapsed = time.perf_counter() - start
     assert recovered is not None and len(recovered) == n
     recovered.file.store.close()

@@ -42,7 +42,7 @@ from repro.rtree.grid import grid_load
 from repro.rtree.tree import RTree, RTreeConfig
 from repro.storage.page import PageLayout
 from repro.storage.paged_file import PagedFile
-from repro.storage.store import FilePageStore
+from repro.storage.store import FilePageStore, write_json_atomic
 
 #: Catalog file schema version; bump on any incompatible layout change.
 SCHEMA_VERSION = 1
@@ -146,20 +146,12 @@ def read_sidecar(pages_path: str) -> Dict[str, Any]:
 def write_sidecar(pages_path: str, metadata: Dict[str, Any]) -> None:
     """Atomically (re)write one page file's sidecar.
 
-    The JSON goes to a temporary file that replaces the sidecar only
-    once fully written, so a failed write leaves the previous sidecar
-    intact and no temporary file behind.  Callers flush the page store
-    first: the sidecar must never name pages the file lacks.
+    Goes through :func:`~repro.storage.store.write_json_atomic`, so a
+    failed write leaves the previous sidecar intact and no temporary
+    file behind.  Callers flush the page store first: the sidecar must
+    never name pages the file lacks.
     """
-    sidecar = meta_path(pages_path)
-    tmp = sidecar + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(metadata, handle)
-        os.replace(tmp, sidecar)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    write_json_atomic(meta_path(pages_path), metadata)
 
 
 @dataclass(frozen=True)
@@ -579,7 +571,9 @@ class Catalog:
                 k, points, oids, pages, page_size, dimension
             )
             build_s = time.perf_counter() - started
-            spec = tree_spec(tree, use_mmap=use_mmap)
+            tree.file.store.flush()
+            spec = TreeSpec(pages, page_size, tree.metadata(),
+                            use_mmap=use_mmap)
             build: Dict[str, Any] = {
                 "build_s": round(build_s, 6),
                 "nodes": tree.node_count(),

@@ -51,6 +51,7 @@ from repro.storage.page import PageLayout
 from repro.storage.paged_file import PagedFile
 from repro.storage.serializer import NodeSerializer
 from repro.storage.snapshot import Snapshot, SnapshotManager, SnapshotView
+from repro.storage.store import write_json_atomic
 
 VARIANTS = ("rstar", "guttman", "linear")
 
@@ -434,8 +435,8 @@ class RTree:
         WALCheckpointer` calls this from its own thread).
 
         ``meta_path`` names the sidecar (``<pages>.meta.json``, see
-        :func:`repro.catalog.write_sidecar`).  Returns False when no
-        WAL is attached.  Idempotent: an empty log checkpoints to an
+        :func:`repro.catalog.meta_path`).  Returns False when no WAL is
+        attached.  Idempotent: an empty log checkpoints to an
         empty log.
         """
         if self._wal is None:
@@ -445,13 +446,7 @@ class RTree:
             if store is not None and hasattr(store, "flush"):
                 store.flush()
             if meta_path is not None:
-                # Imported lazily: the catalog builds on this module.
-                from repro.catalog.core import SIDECAR_SUFFIX, write_sidecar
-
-                if not meta_path.endswith(SIDECAR_SUFFIX):
-                    raise ValueError(f"{meta_path!r} is not a sidecar path")
-                write_sidecar(meta_path[:-len(SIDECAR_SUFFIX)],
-                              self.metadata())
+                write_json_atomic(meta_path, self.metadata())
             self._wal.checkpoint()
         return True
 

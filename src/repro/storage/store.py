@@ -24,11 +24,29 @@ measures the difference; ``docs/STORAGE.md`` discusses when it pays.
 
 from __future__ import annotations
 
+import json
 import mmap
 import os
 from typing import Dict, List, Optional, Protocol
 
 from repro.errors import PageCorruptionError
+
+
+def write_json_atomic(path: str, obj) -> None:
+    """Atomically (re)write one JSON file, e.g. a page file's sidecar.
+
+    The JSON goes to a temporary file that replaces ``path`` only once
+    fully written, so a failed write leaves the previous file intact
+    and no temporary file behind.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump(obj, handle)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 class PageStore(Protocol):

@@ -395,9 +395,12 @@ class WALCheckpointer:
         self.close()
 
 
-def recover_tree(pages_path: str, wal_path: str, page_size: int = 1024,
-                 dimension: int = 2, variant: str = "rstar",
-                 use_mmap: bool = False,
+#: Page size :func:`recover_tree` opens a page file at when there is
+#: no sidecar to read it from (the size every CLI-built tree uses).
+RECOVER_PAGE_SIZE = 1024
+
+
+def recover_tree(pages_path: str, wal_path: str, use_mmap: bool = False,
                  fallback_metadata: Optional[dict] = None):
     """Replay a WAL onto a page file and reopen the tree it describes.
 
@@ -409,14 +412,15 @@ def recover_tree(pages_path: str, wal_path: str, page_size: int = 1024,
     committed snapshot.  ``fallback_metadata`` (the sidecar
     ``.meta.json`` from before the crashed ingest) supplies the page
     size, dimension and variant when given, and the whole position
-    when the log holds no committed batch; without either, ``(None,
-    result)`` is returned.
+    when the log holds no committed batch; without it the page file
+    opens at :data:`RECOVER_PAGE_SIZE` with :func:`~repro.catalog.
+    open_tree`'s defaults, and ``(None, result)`` is returned when the
+    log holds no committed batch either.
     """
     from repro.catalog.core import open_tree
     from repro.storage.store import FilePageStore
 
-    metadata = {"page_size": page_size, "dimension": dimension,
-                "variant": variant, **(fallback_metadata or {})}
+    metadata = {"page_size": RECOVER_PAGE_SIZE, **(fallback_metadata or {})}
     store = FilePageStore(pages_path, int(metadata["page_size"]),
                           use_mmap=use_mmap)
     try:

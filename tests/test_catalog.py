@@ -108,6 +108,12 @@ class TestPersistence:
         finally:
             tree.file.store.close()
 
+    def test_registered_entry_equals_reloaded(self, catalog, tmp_path):
+        catalog.register_dataset("same", _points(60), kind="str")
+        reloaded = Catalog(str(tmp_path))
+        assert (reloaded.dataset("same").index().spec
+                == catalog.dataset("same").index().spec)
+
     def test_paths_stored_relative(self, catalog, tmp_path):
         catalog.register_dataset("rel", _points(40), kind="str")
         with open(tmp_path / CATALOG_FILENAME) as handle:

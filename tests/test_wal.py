@@ -224,12 +224,12 @@ class TestRecoverInto:
         open(pages, "wb").close()
         with WriteAheadLog(walp, sync_mode="none") as wal:
             wal.begin(0)  # begun, never committed
-        tree, result = recover_tree(pages, walp, page_size=1024)
+        tree, result = recover_tree(pages, walp)
         assert tree is None and result.generation is None
         fallback = {"root_id": None, "height": 0, "count": 0,
                     "generation": 0, "variant": "rstar",
                     "page_size": 1024, "dimension": 2}
-        tree, result = recover_tree(pages, walp, page_size=1024,
+        tree, result = recover_tree(pages, walp,
                                     fallback_metadata=fallback)
         assert tree is not None and len(tree) == 0
         tree.file.store.close()

@@ -20,8 +20,9 @@ import time
 import pytest
 
 from repro.rtree.bulk import bulk_load
-from repro.rtree.tree import RTree
+from repro.rtree.tree import RTree, RTreeConfig
 from repro.storage.faults import tear_file_tail
+from repro.storage.page import PageLayout
 from repro.storage.paged_file import PagedFile
 from repro.storage.store import FilePageStore
 from repro.storage.wal import WALCheckpointer, WriteAheadLog, recover_tree
@@ -138,6 +139,30 @@ class TestCheckpoint:
         assert second == first
         assert wal.size() == 0
         assert wal.stats.checkpoints == 2
+
+    def test_recovery_takes_page_size_from_sidecar(self, tmp_path):
+        """A non-default page size is read from the sidecar fallback."""
+        pages = str(tmp_path / "wide.pages")
+        tree = bulk_load(make_points(120, seed=3),
+                         config=RTreeConfig(
+                             layout=PageLayout(page_size=2 * PAGE)),
+                         file=PagedFile(FilePageStore(pages, 2 * PAGE)))
+        wal = WriteAheadLog(pages + ".wal", sync_mode="none")
+        tree.enable_live_mutation(wal)
+        meta = pages + ".meta.json"
+        assert tree.checkpoint_wal(meta) is True
+        insert_batches(tree, 2, seed=17)
+        total = len(tree)
+        tree.file.store.close()
+        wal.close()
+        with open(meta) as handle:
+            fallback = json.load(handle)
+        recovered, result = recover_tree(pages, wal.path,
+                                         fallback_metadata=fallback)
+        assert result.batches_applied == 2
+        assert recovered.file.store.page_size == 2 * PAGE
+        assert len(recovered) == total
+        recovered.file.store.close()
 
     def test_checkpoint_without_wal_is_a_noop(self, tmp_path):
         tree = bulk_load(make_points(40),
