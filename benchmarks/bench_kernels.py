@@ -13,9 +13,13 @@ is that oracle loop, not an engine path.
 The workload is the paper's node shape: M = 21 entries per node
 (1 KiB pages, d = 2), i.e. 441 entry pairs per kernel call, in the
 layout R-tree nodes hand the engine (``(n, k)`` transposed views of
-C-contiguous ``(k, n)`` arrays).  Besides timing, every run asserts
-the kernels and the oracle agree *bitwise* (the contract
-``tests/test_kernel_parity.py`` pins).
+C-contiguous ``(k, n)`` arrays).  The ``stacked`` row is the call step
+CP3 makes per run of leaf pairs: one batched point kernel over
+``RUN`` pairs of ``LEAF``-point leaves (the STR-packed leaf size),
+gathered from the leaves' coordinate arrays.  Besides timing, every
+run asserts the kernels and the oracle agree *bitwise* (the contract
+``tests/test_kernel_parity.py`` pins), and the stacked call agrees
+bitwise with one per-pair call per leaf pair.
 
 Exit status is the CI gate: nonzero when any kernel's speedup falls
 below ``--min-speedup`` (default 1.0, i.e. "vectorised must not be
@@ -54,6 +58,9 @@ from repro.geometry.vectorized import (
 #: The paper's node capacity (1 KiB pages, d = 2): each kernel call
 #: covers an M x M pair matrix.
 M = 21
+#: The stacked row: RUN leaf pairs of LEAF points each.
+RUN = 16
+LEAF = 14
 
 
 def _make_nodes(seed: int) -> Tuple[np.ndarray, ...]:
@@ -68,6 +75,21 @@ def _make_nodes(seed: int) -> Tuple[np.ndarray, ...]:
     pts_q = rng.random((M, 2))
     return tuple(np.ascontiguousarray(array.T).T for array in
                  (lo_p, hi_p, lo_q, hi_q, pts_p, pts_q))
+
+
+def _make_leaf_run(seed: int):
+    """``RUN`` leaf pairs as per-leaf ``(2, LEAF)`` coordinate arrays."""
+    rng = np.random.default_rng(seed)
+    return ([np.ascontiguousarray(rng.random((2, LEAF))) for __ in range(RUN)],
+            [np.ascontiguousarray(rng.random((2, LEAF))) for __ in range(RUN)])
+
+
+def _stacked_points(columns_p, columns_q) -> np.ndarray:
+    """One batched point-kernel call over a run, gather included."""
+    block_p = np.concatenate(columns_p, axis=1).reshape(2, RUN, LEAF)
+    block_q = np.concatenate(columns_q, axis=1).reshape(2, RUN, LEAF)
+    return pairwise_point_distances(block_p.transpose(1, 2, 0),
+                                    block_q.transpose(1, 2, 0), EUCLIDEAN)
 
 
 def _scalar_rect_matrix(fn, mbrs_p, mbrs_q) -> np.ndarray:
@@ -104,6 +126,15 @@ def run(repeats: int, iterations: int, seed: int) -> Dict[str, dict]:
     mbrs_p = [MBR(tuple(lo), tuple(hi)) for lo, hi in zip(lo_p, hi_p)]
     mbrs_q = [MBR(tuple(lo), tuple(hi)) for lo, hi in zip(lo_q, hi_q)]
 
+    columns_p, columns_q = _make_leaf_run(seed + 1)
+    stacked = _stacked_points(columns_p, columns_q)
+    for i, (cols_p, cols_q) in enumerate(zip(columns_p, columns_q)):
+        single = pairwise_point_distances(cols_p.T, cols_q.T, EUCLIDEAN)
+        if stacked[i].tobytes() != single.tobytes():
+            raise AssertionError(
+                f"stacked point kernel differs from the per-pair call "
+                f"at leaf pair {i}")
+
     kernels: Dict[str, Tuple[Callable, Callable]] = {
         "fused": (
             lambda: np.array([
@@ -132,11 +163,18 @@ def run(repeats: int, iterations: int, seed: int) -> Dict[str, dict]:
             lambda: _scalar_point_matrix(pts_p, pts_q),
             lambda: pairwise_point_distances(pts_p, pts_q, EUCLIDEAN),
         ),
+        "stacked": (
+            lambda: np.array([
+                _scalar_point_matrix(cols_p.T, cols_q.T)
+                for cols_p, cols_q in zip(columns_p, columns_q)
+            ]),
+            lambda: _stacked_points(columns_p, columns_q),
+        ),
     }
 
-    pairs = M * M
     results: Dict[str, dict] = {}
     for name, (scalar_fn, vector_fn) in kernels.items():
+        pairs = RUN * LEAF * LEAF if name == "stacked" else M * M
         scalar_out = scalar_fn()
         vector_out = vector_fn()
         if not np.array_equal(scalar_out, vector_out):
@@ -174,8 +212,9 @@ def main(argv=None) -> int:
     repeats, iterations = (3, 50) if args.quick else (7, 400)
     results = run(repeats, iterations, args.seed)
 
-    print(f"expansion kernels, M={M} ({M * M} pairs/call), d=2, "
-          f"euclidean; best of {repeats} x {iterations} calls")
+    print(f"expansion kernels, M={M} ({M * M} pairs/call; stacked: "
+          f"{RUN} leaf pairs of {LEAF}x{LEAF}), d=2, euclidean; "
+          f"best of {repeats} x {iterations} calls")
     print(f"{'kernel':<8} {'scalar ns/pair':>15} {'vector ns/pair':>15} "
           f"{'speedup':>9}")
     for name, row in results.items():

@@ -275,11 +275,13 @@ def estimate_closest_pair_distance(
 #: these).  Keys are the :data:`repro.geometry.vectorized.KERNEL_STATS`
 #: kernel names; ``minmax`` is the ``fused`` row less the ``minmin``
 #: and ``maxmax`` rows, as a fused call tallies under all three.
+#: ``points`` is the ``stacked`` row (16 leaf pairs of 14 x 14), since
+#: step CP3 makes most point-kernel calls one per run of leaf pairs.
 KERNEL_NS_PER_PAIR = {
     "minmin": 37.0,
     "minmax": 75.0,
     "maxmax": 32.0,
-    "points": 18.0,
+    "points": 9.0,
 }
 
 

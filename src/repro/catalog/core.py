@@ -387,13 +387,16 @@ class Catalog:
     ----------
     path:
         The catalog JSON file, or a directory (then
-        ``<dir>/catalog.json``).  Loaded when it exists; a missing
-        file starts an empty catalog whose first :meth:`save` creates
-        it.  Page files built by :meth:`register_dataset` land next to
-        the catalog file.
+        ``<dir>/catalog.json``): an existing one, or any path ending in
+        a separator, which is created.  Loaded when it exists; a
+        missing file starts an empty catalog whose first :meth:`save`
+        creates it.  Page files built by :meth:`register_dataset` land
+        next to the catalog file.
     """
 
     def __init__(self, path: str):
+        if path.endswith(os.sep) or (os.altsep and path.endswith(os.altsep)):
+            os.makedirs(path, exist_ok=True)
         if os.path.isdir(path):
             path = os.path.join(path, CATALOG_FILENAME)
         self.path = os.path.abspath(path)

@@ -432,11 +432,17 @@ def cmd_explain(args: argparse.Namespace) -> int:
         print(f"{rank:4d}  {pair.p}  {pair.q}  {pair.distance:.9f}")
     print()
     print(render_trace(trace, show_durations=not args.no_times))
-    print(
-        f"# {result.algorithm}: {result.stats.disk_accesses} disk "
-        f"accesses, {result.stats.buffer_hits} buffer hits, "
-        f"{result.stats.node_pairs_visited} node pairs"
-    )
+    parallel = result.stats.extra.get("parallel")
+    if args.no_times and parallel:
+        # Workers prune by a shared bound as it tightens, so their
+        # counts vary from run to run; the answers do not.
+        print(f"# {result.algorithm}: {parallel['workers']} workers")
+    else:
+        print(
+            f"# {result.algorithm}: {result.stats.disk_accesses} disk "
+            f"accesses, {result.stats.buffer_hits} buffer hits, "
+            f"{result.stats.node_pairs_visited} node pairs"
+        )
     if args.trace:
         lines = write_trace_jsonl(args.trace, [trace])
         print(f"# wrote {lines} spans to {args.trace}", file=sys.stderr)
@@ -1460,7 +1466,8 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--trace", default=None,
                          help="also write the spans as JSONL here")
     explain.add_argument("--no-times", action="store_true",
-                         help="omit durations (deterministic output)")
+                         help="omit durations and counts that depend on "
+                              "thread timing (deterministic output)")
     explain.set_defaults(func=cmd_explain)
 
     knn = sub.add_parser("knn", help="k nearest neighbours of a point")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -225,17 +225,20 @@ class CPQContext:
 # Traversal tracing (repro.obs)
 # ---------------------------------------------------------------------------
 
-def _finish_io_span(tracer, label: str, io, collector) -> None:
+def _finish_io_span(tracer, label: str, io, collector,
+                    timed: bool) -> None:
     """Attach one ``io.<label>`` leaf carrying the tree's I/O delta.
 
     ``disk_reads`` / ``buffer_hits`` come from ``io``, the tree's
     :class:`~repro.storage.stats.IOStats` delta across the traversal
     (exact when the query has the trees to itself); ``observed_*`` and
     ``distinct_pages`` come from the buffer observer and are exact for
-    this thread even under concurrency.
+    this thread even under concurrency.  ``timed`` marks the counters
+    as depending on thread timing.
     """
     with tracer.span(label) as child:
-        child.annotate(
+        annotate = child.annotate_timed if timed else child.annotate
+        annotate(
             disk_reads=io.disk_reads,
             buffer_hits=io.buffer_hits,
             reads=io.reads,
@@ -244,11 +247,11 @@ def _finish_io_span(tracer, label: str, io, collector) -> None:
         # fault-free traces (and the explain golden output) stay
         # byte-stable while faulted runs show their retries.
         if io.read_retries:
-            child.annotate(read_retries=io.read_retries)
+            annotate(read_retries=io.read_retries)
         if io.corrupt_reads:
-            child.annotate(corrupt_reads=io.corrupt_reads)
+            annotate(corrupt_reads=io.corrupt_reads)
         if collector is not None and collector.reads:
-            child.annotate(
+            annotate(
                 observed_reads=collector.reads,
                 observed_disk_reads=collector.disk_reads,
                 distinct_pages=collector.distinct_pages,
@@ -257,7 +260,8 @@ def _finish_io_span(tracer, label: str, io, collector) -> None:
 
 
 @contextmanager
-def traced_traversal(ctx: CPQContext, algorithm: str, **attrs):
+def traced_traversal(ctx: CPQContext, algorithm: str, *,
+                     timed: bool = False, **attrs):
     """Wrap one algorithm execution in a ``traverse`` span.
 
     Opens the span (child of whatever span is current on this thread,
@@ -265,7 +269,9 @@ def traced_traversal(ctx: CPQContext, algorithm: str, **attrs):
     per-thread I/O collectors, and on exit attaches the ``io.p`` /
     ``io.q`` leaf spans whose ``disk_reads`` sum to the query's
     :class:`~repro.storage.stats.IOStats` delta, plus the traversal
-    counter rollup.  A no-op (single ``enabled`` test) when ``ctx``
+    counter rollup.  ``timed`` marks the rollup and I/O counters as
+    depending on thread timing (parallel workers prune by a shared,
+    racing bound).  A no-op (single ``enabled`` test) when ``ctx``
     carries the null tracer.
     """
     tracer = ctx.tracer
@@ -285,14 +291,14 @@ def traced_traversal(ctx: CPQContext, algorithm: str, **attrs):
                     yield span
             finally:
                 ctx.trace_span = None
-                span.annotate(
+                (span.annotate_timed if timed else span.annotate)(
                     node_pairs_visited=ctx.stats.node_pairs_visited,
                     distance_computations=ctx.stats.distance_computations,
                 )
                 _finish_io_span(tracer, "io.p", ctx.tree_p.stats.since(base_p),
-                                collectors["p"])
+                                collectors["p"], timed)
                 _finish_io_span(tracer, "io.q", ctx.tree_q.stats.since(base_q),
-                                collectors["q"])
+                                collectors["q"], timed)
     finally:
         # Without this, repeated queries on the same trees leak the
         # buffers' on_read observers past the traversal that set them.
@@ -349,18 +355,27 @@ def _qualifying_mask(
     return mask
 
 
-def scan_leaf_pair(ctx: CPQContext, leaf_p: Node, leaf_q: Node) -> None:
+def scan_leaf_pair(
+    ctx: CPQContext,
+    leaf_p: Node,
+    leaf_q: Node,
+    distances: Optional[np.ndarray] = None,
+) -> None:
     """Compute all point-pair distances of two leaves and update the
     K-heap (step CP3 of every algorithm).
+
+    ``distances`` is the pair's matrix when a :class:`LeafRun` computed
+    it already.
 
     Constrained queries AND a qualifying mask into the selection, so
     only admitted pairs ever reach the K-heap.  (The mask must gate the
     selection itself, not just inflate distances: while T is still
     infinite, ``inf <= inf`` would admit a masked pair.)
     """
-    distances = pairwise_point_distances(
-        leaf_p.points_array(), leaf_q.points_array(), ctx.metric
-    )
+    if distances is None:
+        distances = pairwise_point_distances(
+            leaf_p.points_array(), leaf_q.points_array(), ctx.metric
+        )
     ctx.stats.distance_computations += distances.size
     mask = _qualifying_mask(ctx, leaf_p, leaf_q) if ctx.constrained else None
     if ctx.k == 1:
@@ -391,6 +406,81 @@ def scan_leaf_pair(ctx: CPQContext, leaf_p: Node, leaf_q: Node) -> None:
         if d > ctx.t:
             break
         ctx.offer(entries_p[r], entries_q[c], d)
+
+
+#: Most leaf pairs one :class:`LeafRun` stacks.  A fixed bound, not a
+#: tuning knob: it holds a run's temporaries to about 1 MiB at most
+#: for 1 KiB-page leaves (200 KiB for the 14-point STR leaves, d = 2).
+LEAF_RUN_CAP = 64
+
+
+class LeafRun:
+    """The point-distance matrices of a run of leaf pairs, computed by
+    one stacked :func:`pairwise_point_distances` call.
+
+    A run is arithmetic done ahead, never I/O: its nodes come from the
+    trees' decoded-node caches (:meth:`RTree.cached_node`), and each
+    pair is still visited in serial order, with its own T re-check,
+    page reads, cancellation probe and visit count.  A pair's matrix is
+    bitwise equal to its per-pair kernel call, so the K-heap sees the
+    same offers in the same order.  Pairs a run computed but the
+    traversal then prunes cost arithmetic only.
+    """
+
+    __slots__ = ("leaves", "distances", "minima")
+
+    def __init__(self, ctx: CPQContext, leaves: List[Tuple[Node, Node]]):
+        self.leaves = leaves
+        # Ragged leaves are padded with +inf on one side and -inf on
+        # the other, so every padded cell is +inf and never a minimum.
+        block_p = _stack_columns([p.point_columns() for p, __ in leaves],
+                                 math.inf)
+        block_q = _stack_columns([q.point_columns() for __, q in leaves],
+                                 -math.inf)
+        self.distances = pairwise_point_distances(
+            block_p.transpose(1, 2, 0), block_q.transpose(1, 2, 0),
+            ctx.metric,
+        )
+        self.minima = self.distances.reshape(len(leaves), -1).min(
+            axis=1).tolist()
+
+    @classmethod
+    def of(cls, ctx: CPQContext,
+           leaves: List[Tuple[Node, Node]]) -> Optional["LeafRun"]:
+        """A run over ``leaves``; None for fewer than two pairs, which
+        the per-pair kernel serves as cheaply."""
+        return cls(ctx, leaves) if len(leaves) > 1 else None
+
+    def scan(self, ctx: CPQContext, index: int, leaf_p: Node,
+             leaf_q: Node) -> None:
+        """Step CP3 of the visited pair ``(leaf_p, leaf_q)``, the run's
+        ``index``-th.  It leaves at once when the pair's minimum exceeds
+        T, as no offer could pass.  A pair that is not the node pair
+        the run holds there (a cache entry replaced meanwhile) is
+        scanned alone."""
+        held_p, held_q = self.leaves[index]
+        if held_p is not leaf_p or held_q is not leaf_q:
+            scan_leaf_pair(ctx, leaf_p, leaf_q)
+            return
+        n, m = len(leaf_p.entries), len(leaf_q.entries)
+        if self.minima[index] > ctx.t:
+            ctx.stats.distance_computations += n * m
+            return
+        scan_leaf_pair(ctx, leaf_p, leaf_q, self.distances[index, :n, :m])
+
+
+def _stack_columns(columns: List[np.ndarray], fill: float) -> np.ndarray:
+    """Stack ``(k, n_i)`` coordinate arrays into one ``(k, r, n)``
+    block, padding shorter ones with ``fill`` up to the longest."""
+    sizes = [array.shape[1] for array in columns]
+    width = max(sizes)
+    if min(sizes) == width:
+        flat = np.concatenate(columns, axis=1)
+        return flat.reshape(len(flat), len(columns), width)
+    block = np.full((len(columns[0]), len(columns), width), fill)
+    for i, (array, size) in enumerate(zip(columns, sizes)):
+        block[:, i, :size] = array
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +518,12 @@ class CandidateSet:
         else:
             node_q = self.node_q
         return node_p, node_q
+
+    @property
+    def leaf_children(self) -> bool:
+        """Whether every candidate is a leaf/leaf pair."""
+        return (self.node_p.level == int(self.expand_p)
+                and self.node_q.level == int(self.expand_q))
 
     def child_pages(self):
         """Page ids of every candidate's node pair, as two lists."""
@@ -697,17 +793,27 @@ def run_recursive(
 
 
 def _visit(
-    ctx: CPQContext, node_p: Node, node_q: Node, options: CPQOptions
+    ctx: CPQContext,
+    node_p: Node,
+    node_q: Node,
+    options: CPQOptions,
+    run: Optional[LeafRun] = None,
+    index: Optional[int] = None,
 ) -> None:
     ctx.check_cancelled()
     ctx.stats.node_pairs_visited += 1
     if node_p.is_leaf and node_q.is_leaf:
-        scan_leaf_pair(ctx, node_p, node_q)
+        if index is None:
+            scan_leaf_pair(ctx, node_p, node_q)
+        else:
+            run.scan(ctx, index, node_p, node_q)
         return
     candidates = generate_candidates(ctx, node_p, node_q, options)
-    order = order_candidates(ctx, candidates, options)
+    order = order_candidates(ctx, candidates, options).tolist()
     minmin = candidates.minmin.tolist()
-    for i, position in enumerate(order.tolist()):
+    leaf_children = candidates.leaf_children
+    run, slots, run_end = None, {}, 0
+    for i, position in enumerate(order):
         # T may have tightened since generation; re-check before paying
         # the I/O of the descent.
         if options.prune:
@@ -720,4 +826,47 @@ def _visit(
                     ctx.trace_add("pairs_repruned", 1)
                 continue
         child_p, child_q = candidates.child_nodes(ctx, position)
-        _visit(ctx, child_p, child_q, options)
+        if leaf_children and i >= run_end:
+            run, slots, run_end = _candidate_run(
+                ctx, candidates, order, minmin, i, options)
+        _visit(ctx, child_p, child_q, options, run, slots.get(i))
+
+
+def _candidate_run(
+    ctx: CPQContext,
+    candidates: CandidateSet,
+    order: List[int],
+    minmin: List[float],
+    start: int,
+    options: CPQOptions,
+) -> Tuple[Optional[LeafRun], Dict[int, int], int]:
+    """The next :class:`LeafRun` over leaf-pair candidates, from
+    processing step ``start`` on.
+
+    Takes, in processing order, up to :data:`LEAF_RUN_CAP` candidates
+    that pass MINMINDIST <= T now (sorted order stops at the first that
+    fails) and whose nodes are decoded.  Returns the run (None when it
+    would hold fewer than two pairs), a map from processing step to
+    index in the run, and the first step the run did not consider.
+    """
+    t = ctx.t
+    pages_p, pages_q = candidates.child_pages()
+    cached_p, cached_q = ctx.tree_p.cached_node, ctx.tree_q.cached_node
+    leaves: List[Tuple[Node, Node]] = []
+    slots: Dict[int, int] = {}
+    step = start
+    while step < len(order) and len(leaves) < LEAF_RUN_CAP:
+        position = order[step]
+        if options.prune and minmin[position] > t:
+            if options.sort:
+                break
+            step += 1
+            continue
+        leaf_p = cached_p(pages_p[position])
+        leaf_q = cached_q(pages_q[position])
+        if leaf_p is not None and leaf_q is not None:
+            slots[step] = len(leaves)
+            leaves.append((leaf_p, leaf_q))
+        step += 1
+    run = LeafRun.of(ctx, leaves)
+    return run, (slots if run is not None else {}), step

@@ -370,6 +370,7 @@ def parallel_k_closest_pairs(
     with traced_traversal(
         ctx,
         spec.label,
+        timed=True,
         workers=request.workers,
         partition_depth=request.partition_depth,
     ):
@@ -397,7 +398,7 @@ def parallel_k_closest_pairs(
                 with ctx.tracer.span(
                     "worker", worker=report.worker_id
                 ) as span:
-                    span.annotate(
+                    span.annotate_timed(
                         tasks_completed=report.tasks_completed,
                         pairs=len(report.pairs),
                         node_pairs_visited=report.counters[

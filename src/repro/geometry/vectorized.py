@@ -22,7 +22,8 @@ contiguous; row-major inputs give the same values, only more slowly.
 
 Every public kernel tallies its invocation into :data:`KERNEL_STATS`
 (calls and entry pairs evaluated), which the service metrics snapshot
-exposes for cost-model recalibration.
+exposes for cost-model recalibration.  A batched point-kernel call
+counts once, with every element of its stack.
 
 The MINMAXDIST kernel uses a branch-free closed form of Definition 3
 for finite-``p`` Minkowski metrics instead of enumerating the 2k x 2k
@@ -217,8 +218,19 @@ def pairwise_point_distances(
     points_b: np.ndarray,
     metric: MinkowskiMetric = EUCLIDEAN,
 ) -> np.ndarray:
-    """All distances between two point arrays; shape ``(n, m)``."""
-    deltas = _differences(points_a, points_b)
+    """All distances between two point arrays; shape ``(n, m)``.
+
+    With a leading batch axis, ``(r, n, k)`` against ``(r, m, k)``, it
+    returns the ``(r, n, m)`` stack of the ``r`` matrices in one call,
+    each bitwise equal to its own two-dimensional call: every element
+    takes the same operations in the same order.  Pass the batch as a
+    view of a C-contiguous ``(k, r, n)`` array, as for single nodes.
+    """
+    if points_a.ndim == 3:
+        deltas = (points_a.transpose(2, 0, 1)[:, :, :, None]
+                  - points_b.transpose(2, 0, 1)[:, :, None, :])
+    else:
+        deltas = _differences(points_a, points_b)
     if metric.p != 2.0:  # squaring drops the sign exactly
         np.abs(deltas, out=deltas)
     out = _reduce(deltas, metric.p)

@@ -118,19 +118,22 @@ def _format_value(value) -> str:
     return text
 
 
-def _format_attrs(span: Span) -> str:
+def _format_attrs(span: Span, show_timed: bool) -> str:
     return " ".join(
         f"{key}={_format_value(value)}"
         for key, value in span.attrs.items()
+        if show_timed or key not in span.timed
     )
 
 
 def render_trace(root: Span, show_durations: bool = True) -> str:
     """Draw one trace as an ``EXPLAIN ANALYZE``-style indented tree.
 
-    Each line shows the span name, its duration (suppressed by
-    ``show_durations=False`` for deterministic golden tests), and its
-    counters in recording order, e.g.::
+    Each line shows the span name, its duration, and its counters in
+    recording order.  ``show_durations=False`` renders deterministic
+    text for golden tests: it drops the durations and the counters
+    that depend on thread timing (:meth:`Span.annotate_timed`; marks
+    do not survive the JSONL round trip).  For example::
 
         request  (12.416 ms)  kind=cpq pair=default status=ok
         |-- plan  (0.210 ms)  algorithm=heap ...
@@ -149,7 +152,7 @@ def render_trace(root: Span, show_durations: bool = True) -> str:
         parts = [f"{connector}{span.name}"]
         if show_durations and span.duration_ms > 0.0:
             parts.append(f"({span.duration_ms:.3f} ms)")
-        attrs = _format_attrs(span)
+        attrs = _format_attrs(span, show_durations)
         if attrs:
             parts.append(attrs)
         lines.append(prefix + "  ".join(parts))

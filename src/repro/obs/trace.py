@@ -49,13 +49,17 @@ class Span:
     attrs:
         Free-form counters and annotations.  Counters added via
         :meth:`add` accumulate; :meth:`annotate` overwrites.
+    timed:
+        The keys of ``attrs`` whose values depend on thread timing,
+        set by :meth:`annotate_timed`; renderings that promise
+        deterministic output omit them along with the durations.
     offset_ms / duration_ms:
         Start offset relative to the root span, and wall time from
         start to finish, both in milliseconds.
     """
 
-    __slots__ = ("name", "span_id", "parent_id", "attrs", "children",
-                 "offset_ms", "duration_ms", "_t0")
+    __slots__ = ("name", "span_id", "parent_id", "attrs", "timed",
+                 "children", "offset_ms", "duration_ms", "_t0")
 
     def __init__(
         self,
@@ -68,6 +72,7 @@ class Span:
         self.span_id = span_id
         self.parent_id = parent_id
         self.attrs: dict = dict(attrs) if attrs else {}
+        self.timed: frozenset = frozenset()
         self.children: List["Span"] = []
         self.offset_ms: float = 0.0
         self.duration_ms: float = 0.0
@@ -82,6 +87,12 @@ class Span:
     def annotate(self, **attrs) -> None:
         """Set (overwrite) attributes on the span."""
         self.attrs.update(attrs)
+
+    def annotate_timed(self, **attrs) -> None:
+        """:meth:`annotate` values that depend on thread timing, such
+        as a parallel worker's share of the work."""
+        self.attrs.update(attrs)
+        self.timed = self.timed | frozenset(attrs)
 
     # -- reading -----------------------------------------------------------
 
@@ -400,6 +411,9 @@ class _NullSpan(Span):
         pass
 
     def annotate(self, **attrs) -> None:
+        pass
+
+    def annotate_timed(self, **attrs) -> None:
         pass
 
 

@@ -76,6 +76,15 @@ class Node:
         self._build_arrays()
         return self._lo.T
 
+    def point_columns(self) -> np.ndarray:
+        """Leaf point coordinates coordinate-major: the C-contiguous
+        ``(k, len(self))`` array :meth:`points_array` is a view of."""
+        if self.level:
+            raise ValueError("point_columns is only defined for leaves")
+        if self._lo is None:
+            self._build_arrays()
+        return self._lo
+
     def _build_arrays(self) -> None:
         if self._lo is not None:
             return

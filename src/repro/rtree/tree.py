@@ -208,6 +208,16 @@ class RTree:
             return None
         return self.read_node(self.root_id)
 
+    def cached_node(self, page_id: int) -> Optional[Node]:
+        """The already decoded node of a page, or None.
+
+        Touches no storage: no buffer lookup, LRU move, disk access or
+        I/O counter.  The CPQ engine uses it to prepare the arithmetic
+        of leaf pairs ahead of the :meth:`read_node` calls that visit
+        them.
+        """
+        return self._nodes.get(page_id)
+
     def _serialize_node(self, node: Node) -> bytes:
         if node.is_leaf:
             return self.serializer.serialize_leaf(node.to_tuples())

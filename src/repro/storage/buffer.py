@@ -117,12 +117,6 @@ class LRUBuffer:
         self._pages: "OrderedDict[int, bytes]" = OrderedDict()
         self._lock = threading.RLock()
 
-    def _acquire_counted(self) -> None:
-        if self._lock.acquire(blocking=False):
-            return
-        self.contentions += 1
-        self._lock.acquire()
-
     def read(self, page_id: int, loader: Callable[[int], bytes]) -> bytes:
         """Return the page, loading it via ``loader`` on a miss.
 
@@ -135,25 +129,33 @@ class LRUBuffer:
         buffer exactly as it was: nothing admitted, no hit or miss
         counted (only ``read_retries`` / ``read_failures`` moved), so
         a later retry of the same read starts clean.
+
+        Every page read of every query passes through here, so the
+        lock acquisitions (a non-blocking try first, counting a
+        contention when it fails) are written out in place.
         """
-        self._acquire_counted()
+        lock = self._lock
+        if not lock.acquire(False):
+            self.contentions += 1
+            lock.acquire()
         try:
             data = self._pages.get(page_id)
             if data is not None:
                 self._touch(page_id)
                 self.stats.buffer_hits += 1
-                hit = True
         finally:
-            self._lock.release()
-        if data is None:
+            lock.release()
+        hit = data is not None
+        if not hit:
             data = self._load_retrying(page_id, loader)
-            self._acquire_counted()
+            if not lock.acquire(False):
+                self.contentions += 1
+                lock.acquire()
             try:
                 self.stats.disk_reads += 1
                 self._admit(page_id, data)
             finally:
-                self._lock.release()
-            hit = False
+                lock.release()
         if self.on_read is not None:
             self.on_read(page_id, hit)
         return data

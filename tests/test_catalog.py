@@ -146,6 +146,19 @@ class TestPersistence:
         assert "gone" not in Catalog(str(tmp_path))
 
 
+    def test_separator_path_is_a_new_directory(self, tmp_path,
+                                                monkeypatch):
+        # "--catalog data/" before data/ exists: the catalog and its
+        # page files go inside data/, not into a file named "data".
+        monkeypatch.chdir(tmp_path)
+        catalog = Catalog("data" + os.sep)
+        catalog.register_dataset("parks", _points(30), kind="str")
+        assert os.path.isfile(os.path.join("data", "catalog.json"))
+        pages = catalog.dataset("parks").index().spec.path
+        assert os.path.dirname(pages) == str(tmp_path / "data")
+        assert "parks" in Catalog("data" + os.sep)
+
+
 class TestLookups:
     def test_unknown_dataset_lists_known(self, catalog):
         catalog.register_dataset("known", _points(10), kind="str")

@@ -8,6 +8,7 @@ through the provided loader, and the ``explain`` CLI golden output.
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import random
@@ -442,3 +443,41 @@ class TestExplainCli:
         assert "traverse" in names and "io.p" in names
         # Rendering the reloaded trace works too.
         assert "traverse" in render_trace(trace)
+
+
+class TestParallelNoTimes:
+    """``--no-times`` output of a parallel query is deterministic.
+
+    Workers share a tightening bound, so how the work splits between
+    them -- and so every work and I/O count -- varies from run to run.
+    """
+
+    def _traced(self, trees):
+        tracer = Tracer()
+        k_closest_pairs(*trees, request=CPQRequest(
+            k=5, algorithm="heap", workers=2), tracer=tracer)
+        return tracer.pop_traces()[-1]
+
+    def test_other_worker_split_renders_identically(self, trees):
+        first = self._traced(trees)
+        second = copy.deepcopy(first)
+        one, two = second.find_all("worker")
+        # Another split: the workers trade their shares and the
+        # totals move with the pruning.
+        for key in one.timed:
+            one.attrs[key], two.attrs[key] = two.attrs[key], one.attrs[key]
+        second.find("traverse").attrs["node_pairs_visited"] += 3
+        for name in ("io.p", "io.q"):
+            second.find(name).attrs["disk_reads"] += 2
+        assert render_trace(second) != render_trace(first)
+        text = render_trace(first, show_durations=False)
+        assert render_trace(second, show_durations=False) == text
+        assert "worker  worker=0\n" in text + "\n"
+        assert "workers=2" in text
+
+    def test_serial_trace_marks_nothing_timed(self, trees):
+        tracer = Tracer()
+        k_closest_pairs(*trees, request=CPQRequest(k=5, algorithm="heap"),
+                        tracer=tracer)
+        trace = tracer.pop_traces()[-1]
+        assert all(not span.timed for span in trace.walk())
