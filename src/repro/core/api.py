@@ -88,13 +88,11 @@ class AlgorithmSpec:
     honour a request's :class:`~repro.core.constraints.RangeSpec` /
     :class:`~repro.core.constraints.ColorSpec`; request validation
     *enforces* these flags (an incapable combination raises
-    :class:`~repro.errors.UnsupportedCapabilityError`).  The
-    query-shape flags describe the extension families of Section 6:
-    ``self_join`` (P = Q, pass the same tree as both sides), ``semi``
-    (all-nearest-neighbour join; reports one pair per P point and
-    ignores ``k``), ``multiway`` (aggregate-distance tuples; the
-    two-tree registry entry runs the m = 2 chain, equivalent to a
-    K-CPQ), and ``incremental`` (Hjaltason & Samet distance join).
+    :class:`~repro.errors.UnsupportedCapabilityError`).
+    ``extension`` marks the query types of Section 6 and the
+    incremental baseline, whose answers are not an ordinary two-tree
+    K-CPQ: ``self`` (P = Q), ``semi`` (one pair per P point) and
+    ``incremental`` (Hjaltason & Samet distance join).
     """
 
     name: str
@@ -109,10 +107,7 @@ class AlgorithmSpec:
     #: :data:`CORE_ALGORITHMS` so the paper's five-algorithm suites
     #: keep their shape.
     specialized: bool = False
-    self_join: bool = False
-    semi: bool = False
-    multiway: bool = False
-    incremental: bool = False
+    extension: bool = False
     runner: Optional[Callable[..., CPQResult]] = field(
         default=None, repr=False, compare=False
     )
@@ -166,72 +161,41 @@ def _run_rcp(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
 
 
 def _run_self(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
-    from repro.extensions.self_cpq import self_k_closest_pairs
-
-    if ctx.tree_p is not ctx.tree_q:
-        raise ValueError(
-            "algorithm 'self' joins a tree with itself; pass the same "
-            "tree as both sides"
-        )
-    with traced_traversal(ctx, "SELF-HEAP"):
-        result = self_k_closest_pairs(
-            ctx.tree_p, request.k, request.metric, reset_stats=False
-        )
-        # Adopt the extension's counters so the traverse span's exit
-        # annotations describe this query, not the unused context.
-        ctx.stats = result.stats
-    return result
+    # The context runs in self-join mode.  Section 3.8's MAXMAXDIST
+    # accumulation assumes two disjoint point sets, so it stays off.
+    # Without a requested chain, MINMINDIST ties pop in insertion
+    # order: on 20k uniform points at a 16-page buffer, T1's order
+    # reads about 9 % more pages.
+    return heap_algorithm(
+        ctx,
+        request.height_strategy,
+        request.tie_break if request.tie_break is not None else TieBreak([]),
+        maxmax_pruning=False,
+        name=request.spec.label,
+    )
 
 
 def _run_semi(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
     from repro.extensions.semi_cpq import semi_closest_pairs
 
     with traced_traversal(ctx, "SEMI"):
-        result = semi_closest_pairs(
-            ctx.tree_p, ctx.tree_q, request.metric, reset_stats=False
+        return semi_closest_pairs(
+            ctx.tree_p, ctx.tree_q, request.metric, reset_stats=False,
+            cancel_check=ctx.cancel_check, stats=ctx.stats,
         )
-        ctx.stats = result.stats
-    return result
-
-
-def _run_multiway(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
-    from repro.extensions.multiway import multiway_closest_tuples
-
-    with traced_traversal(ctx, "MULTIWAY"):
-        mw = multiway_closest_tuples(
-            [ctx.tree_p, ctx.tree_q],
-            request.k,
-            "chain",
-            request.metric,
-            reset_stats=False,
-        )
-        # An m = 2 chain aggregates exactly one edge, so each result
-        # tuple is an ordinary closest pair.
-        pairs = [
-            ClosestPair(t.distance, t.points[0], t.points[1],
-                        t.oids[0], t.oids[1])
-            for t in mw.tuples
-        ]
-        ctx.stats = mw.stats
-    return CPQResult(
-        pairs=pairs, stats=mw.stats, algorithm="MULTIWAY", k=request.k
-    )
 
 
 def _run_incremental(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
-    from repro.incremental.distance_join import incremental_join_request
+    from repro.incremental.distance_join import incremental_distance_join
 
     with traced_traversal(ctx, "INC"):
-        # Buffer sizing and stats reset already happened in
-        # k_closest_pairs; a second reset here would corrupt the
-        # tracer's I/O delta baselines.
-        result = incremental_join_request(
-            ctx.tree_p,
-            ctx.tree_q,
-            replace(request, buffer_pages=None, reset_stats=False),
-        )
-        ctx.stats = result.stats
-    return result
+        pairs = list(incremental_distance_join(
+            ctx.tree_p, ctx.tree_q, metric=request.metric,
+            k_bound=request.k, stats=ctx.stats,
+            cancel_check=ctx.cancel_check,
+        ))
+    return CPQResult(pairs=pairs, stats=ctx.stats, algorithm="INC-SML",
+                     k=request.k)
 
 
 #: The single source of truth for available algorithms.  CLI choices,
@@ -315,7 +279,7 @@ ALGORITHM_REGISTRY: Dict[str, AlgorithmSpec] = {
             description="K closest pairs within one set (Section 6); "
                         "pass the same tree as both sides",
             plannable=False,
-            self_join=True,
+            extension=True,
             runner=_run_self,
         ),
         AlgorithmSpec(
@@ -324,17 +288,8 @@ ALGORITHM_REGISTRY: Dict[str, AlgorithmSpec] = {
             description="all-nearest-neighbour join (Section 6); one "
                         "pair per P point, k ignored",
             plannable=False,
-            semi=True,
+            extension=True,
             runner=_run_semi,
-        ),
-        AlgorithmSpec(
-            name="multiway",
-            label="MULTIWAY",
-            description="m=2 chain of the multi-way engine (Section 6 "
-                        "future work (a)); equivalent to a K-CPQ",
-            plannable=False,
-            multiway=True,
-            runner=_run_multiway,
         ),
         AlgorithmSpec(
             name="incremental",
@@ -342,7 +297,7 @@ ALGORITHM_REGISTRY: Dict[str, AlgorithmSpec] = {
             description="Hjaltason & Samet incremental distance join, "
                         "K-bounded (SML policy)",
             plannable=False,
-            incremental=True,
+            extension=True,
             runner=_run_incremental,
         ),
     )
@@ -355,13 +310,12 @@ ALGORITHMS: Tuple[str, ...] = tuple(ALGORITHM_REGISTRY)
 
 #: The five two-tree branch-and-bound K-CPQ algorithms from the paper;
 #: the subset of :data:`ALGORITHMS` that answers an ordinary pairwise
-#: query over two distinct trees (extension query types -- self join,
-#: semi join, multiway, incremental -- are excluded).
+#: query over two distinct trees (range specialists and extension
+#: query types -- self join, semi join, incremental -- are excluded).
 CORE_ALGORITHMS: Tuple[str, ...] = tuple(
     name
     for name, spec in ALGORITHM_REGISTRY.items()
-    if not (spec.specialized or spec.self_join or spec.semi
-            or spec.multiway or spec.incremental)
+    if not (spec.specialized or spec.extension)
 )
 
 #: Names the cost-model planner may choose between.
@@ -494,18 +448,6 @@ class CPQRequest:
         )
 
 
-def _deadline_probe(deadline_ms: float) -> Callable[[], None]:
-    deadline = time.monotonic() + deadline_ms / 1000.0
-
-    def probe() -> None:
-        if time.monotonic() > deadline:
-            raise DeadlineExceeded(
-                f"query exceeded its deadline of {deadline_ms:g} ms"
-            )
-
-    return probe
-
-
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
@@ -561,7 +503,9 @@ def k_closest_pairs(
         tree_p.file.reset_for_query()
         tree_q.file.reset_for_query()
     if cancel_check is None and request.deadline_ms is not None:
-        cancel_check = _deadline_probe(request.deadline_ms)
+        cancel_check = DeadlineExceeded.probe(
+            time.monotonic() + request.deadline_ms / 1000.0
+        )
     local_tracer = None
     if tracer is None and request.trace:
         from repro.obs.trace import Tracer

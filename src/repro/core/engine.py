@@ -96,9 +96,15 @@ class CPQContext:
         root_areas=None,
         range_spec=None,
         color_spec=None,
+        self_join: bool = False,
     ):
         if tree_p.dimension != tree_q.dimension:
             raise ValueError("trees index points of different dimensions")
+        if self_join and tree_p is not tree_q:
+            raise ValueError(
+                "algorithm 'self' joins a tree with itself; pass the same "
+                "tree as both sides"
+            )
         self.tree_p = tree_p
         self.tree_q = tree_q
         self.k = k
@@ -121,6 +127,22 @@ class CPQContext:
                 )
             self._range_lo = np.array(range_spec.lo, dtype=float)
             self._range_hi = np.array(range_spec.hi, dtype=float)
+        #: Self-join mode (Section 6, P = Q): a node paired with itself
+        #: yields only the child pairs ``(i, j)`` with ``j >= i``, its
+        #: K = 1 MINMAXDIST ignores the diagonal, a leaf paired with
+        #: itself offers its strict upper triangle, and every offer is
+        #: oriented ``p_oid < q_oid``.
+        self.self_join = self_join
+        if self_join:
+            self.offer = self._offer_self
+        #: Whether leaf scans gate their selection by a mask
+        #: (:func:`_leaf_mask`).
+        self.masks_leaves = self.constrained or self_join
+        #: ``(label, tree)`` per distinct I/O counter: a tree serving
+        #: both sides is counted once, as ``p``.
+        self.io_sides = [("p", tree_p)]
+        if tree_q.stats is not tree_p.stats:
+            self.io_sides.append(("q", tree_q))
         #: Cooperative cancellation: called once per visited node pair;
         #: raising from it (e.g. a service deadline) aborts the
         #: traversal, leaving trees and buffers consistent.
@@ -135,9 +157,9 @@ class CPQContext:
         if self.tracer.enabled:
             # Baselines for the per-tree I/O delta spans, captured
             # *before* the root reads below so they are attributed too.
-            self._trace_io_base = (
-                tree_p.stats.snapshot(), tree_q.stats.snapshot()
-            )
+            self._trace_io_base = [
+                tree.stats.snapshot() for __, tree in self.io_sides
+            ]
         self.kheap = KHeap(k)
         #: Minimum node occupancy of each tree (Section 3.8 counts).
         self.min_entries = (tree_p.min_entries, tree_q.min_entries)
@@ -155,7 +177,8 @@ class CPQContext:
             self.root_p, self.root_q = roots
         else:
             self.root_p = tree_p.read_root()
-            self.root_q = tree_q.read_root()
+            self.root_q = (self.root_p if tree_q is tree_p
+                           else tree_q.read_root())
         if root_areas is not None:
             self.root_area_p, self.root_area_q = root_areas
         else:
@@ -174,7 +197,7 @@ class CPQContext:
         arguments."""
         return cls(tree_p, tree_q, request.k, request.metric,
                    range_spec=request.range, color_spec=request.colors,
-                   **hooks)
+                   self_join=request.algorithm == "self", **hooks)
 
     @property
     def t(self) -> float:
@@ -210,6 +233,14 @@ class CPQContext:
                 q_oid=entry_q.oid,
             )
         )
+
+    def _offer_self(self, entry_a, entry_b, distance: float) -> None:
+        """:meth:`offer` in self-join mode: a point never pairs with
+        itself, and a pair is reported once, as ``p_oid < q_oid``."""
+        if entry_a.oid > entry_b.oid:
+            entry_a, entry_b = entry_b, entry_a
+        if entry_a.oid < entry_b.oid:
+            CPQContext.offer(self, entry_a, entry_b, distance)
 
     def result(self, algorithm: str) -> CPQResult:
         self.stats.merge_io(self.tree_p.stats, self.tree_q.stats)
@@ -268,26 +299,26 @@ def traced_traversal(ctx: CPQContext, algorithm: str, *,
     e.g. a service ``request``), installs the buffer observers and
     per-thread I/O collectors, and on exit attaches the ``io.p`` /
     ``io.q`` leaf spans whose ``disk_reads`` sum to the query's
-    :class:`~repro.storage.stats.IOStats` delta, plus the traversal
-    counter rollup.  ``timed`` marks the rollup and I/O counters as
-    depending on thread timing (parallel workers prune by a shared,
-    racing bound).  A no-op (single ``enabled`` test) when ``ctx``
+    :class:`~repro.storage.stats.IOStats` delta (``io.p`` alone when
+    one tree serves both sides), plus the traversal counter rollup.
+    ``timed`` marks the rollup and I/O counters as depending on thread
+    timing (parallel workers prune by a shared, racing bound).  A no-op (single ``enabled`` test) when ``ctx``
     carries the null tracer.
     """
     tracer = ctx.tracer
     if not tracer.enabled:
         yield None
         return
-    base_p, base_q = ctx._trace_io_base
-    tracer.watch_buffer(ctx.tree_p.file.buffer, "p")
-    tracer.watch_buffer(ctx.tree_q.file.buffer, "q")
+    sides = ctx.io_sides
+    for label, tree in sides:
+        tracer.watch_buffer(tree.file.buffer, label)
     try:
         with tracer.span("traverse", algorithm=algorithm, k=ctx.k,
                          **attrs) as span:
             ctx.trace_span = span
-            collectors = {"p": None, "q": None}
+            collectors = dict.fromkeys(label for label, __ in sides)
             try:
-                with tracer.collect_io(("p", "q")) as collectors:
+                with tracer.collect_io(collectors) as collectors:
                     yield span
             finally:
                 ctx.trace_span = None
@@ -295,30 +326,38 @@ def traced_traversal(ctx: CPQContext, algorithm: str, *,
                     node_pairs_visited=ctx.stats.node_pairs_visited,
                     distance_computations=ctx.stats.distance_computations,
                 )
-                _finish_io_span(tracer, "io.p", ctx.tree_p.stats.since(base_p),
-                                collectors["p"], timed)
-                _finish_io_span(tracer, "io.q", ctx.tree_q.stats.since(base_q),
-                                collectors["q"], timed)
+                for (label, tree), base in zip(sides, ctx._trace_io_base):
+                    _finish_io_span(tracer, "io." + label,
+                                    tree.stats.since(base),
+                                    collectors[label], timed)
     finally:
         # Without this, repeated queries on the same trees leak the
         # buffers' on_read observers past the traversal that set them.
-        tracer.unwatch_buffer(ctx.tree_p.file.buffer)
-        tracer.unwatch_buffer(ctx.tree_q.file.buffer)
+        for __, tree in sides:
+            tracer.unwatch_buffer(tree.file.buffer)
 
 
 # ---------------------------------------------------------------------------
 # Leaf-pair scanning (step CP3)
 # ---------------------------------------------------------------------------
 
-def _qualifying_mask(
+def _leaf_mask(
     ctx: CPQContext, leaf_p: Node, leaf_q: Node
-) -> np.ndarray:
-    """Boolean (|P|, |Q|) mask of point pairs the constraints admit.
+) -> Optional[np.ndarray]:
+    """Boolean (|P|, |Q|) mask of point pairs the query admits, or None
+    for all of them.
 
-    Range containment is evaluated per side from the leaves' point
-    arrays; colors derive from oids (``oid % modulus``), so the mask is
-    a pure function of data already on the pages.
+    In self-join mode only a leaf paired with itself is masked, to its
+    strict upper triangle: the distinct unordered pairs.  Otherwise
+    the mask holds the constraints: range containment is evaluated per
+    side from the leaves' point arrays; colors derive from oids
+    (``oid % modulus``), so the mask is a pure function of data already
+    on the pages.
     """
+    if ctx.self_join:
+        if leaf_p.page_id != leaf_q.page_id:
+            return None
+        return np.triu(np.ones((len(leaf_p.entries),) * 2, dtype=bool), 1)
     mask_p = np.ones(len(leaf_p.entries), dtype=bool)
     mask_q = np.ones(len(leaf_q.entries), dtype=bool)
     spec = ctx.range_spec
@@ -367,9 +406,9 @@ def scan_leaf_pair(
     ``distances`` is the pair's matrix when a :class:`LeafRun` computed
     it already.
 
-    Constrained queries AND a qualifying mask into the selection, so
-    only admitted pairs ever reach the K-heap.  (The mask must gate the
-    selection itself, not just inflate distances: while T is still
+    Constrained and self-join queries AND a mask into the selection,
+    so only admitted pairs ever reach the K-heap.  (The mask must gate
+    the selection itself, not just inflate distances: while T is still
     infinite, ``inf <= inf`` would admit a masked pair.)
     """
     if distances is None:
@@ -377,7 +416,7 @@ def scan_leaf_pair(
             leaf_p.points_array(), leaf_q.points_array(), ctx.metric
         )
     ctx.stats.distance_computations += distances.size
-    mask = _qualifying_mask(ctx, leaf_p, leaf_q) if ctx.constrained else None
+    mask = _leaf_mask(ctx, leaf_p, leaf_q) if ctx.masks_leaves else None
     if ctx.k == 1:
         if mask is not None:
             if not mask.any():
@@ -657,6 +696,9 @@ def generate_candidates(
     expand_q = side in (EXPAND_BOTH, EXPAND_Q)
     spec = ctx.range_spec if ctx.constrained else None
     infeasible = None
+    # A self-join node paired with itself: the pair (j, i) repeats
+    # (i, j), and the pair (i, i) holds each point paired with itself.
+    same_node = ctx.self_join and node_p.page_id == node_q.page_id
     lo_p, hi_p = _side_arrays(node_p, expand_p)
     lo_q, hi_q = _side_arrays(node_q, expand_q)
     # Boxes MINMINDIST is evaluated on: raw, or window-clipped (CLIPPED).
@@ -685,6 +727,9 @@ def generate_candidates(
             maxmax=ctx.k > 1 and options.maxmax_k_pruning,
         )
         if ctx.k == 1:
+            if same_node:
+                # Inequality 2 holds only for distinct children here.
+                np.fill_diagonal(minmax_matrix, np.inf)
             ctx.update_bound(float(minmax_matrix.min()))
         elif maxmax is not None:
             m_p, m_q = ctx.min_entries
@@ -712,6 +757,8 @@ def generate_candidates(
             # point; drop them outright (an explicit mask, because
             # ``inf <= inf`` would keep them while T is infinite).
             within &= ~infeasible.ravel()
+        if same_node:
+            within &= np.triu(np.ones(minmin.shape, dtype=bool)).ravel()
         keep = np.nonzero(within)[0]
     else:
         keep = np.arange(flat.size)

@@ -54,6 +54,7 @@ def heap_algorithm(
     tie_break: Optional[TieBreak] = None,
     maxmax_pruning: bool = True,
     clip_mindist: bool = False,
+    name: str = NAME,
 ) -> CPQResult:
     """Run the Heap algorithm on a prepared query context.
 
@@ -61,7 +62,12 @@ def heap_algorithm(
     bound for K > 1 (off = the simple K-heap-threshold modification).
     ``clip_mindist`` keys the heap by MINMINDIST of range-clipped MBRs
     instead of raw ones (the CLIPPED algorithm; requires a range on the
-    context to differ from plain HEAP).
+    context to differ from plain HEAP).  ``name`` labels the result
+    and the ``traverse`` span.
+
+    A context in self-join mode (:attr:`CPQContext.self_join`) makes
+    this the Self-CPQ of Section 6: the rules live in candidate
+    generation, the leaf scan and the K-heap offer it calls.
     """
     options = CPQOptions(
         prune=True,
@@ -75,7 +81,7 @@ def heap_algorithm(
     root_p = ctx.root_p
     root_q = ctx.root_q
     if root_p is None or root_q is None:
-        return ctx.result(NAME)
+        return ctx.result(name)
 
     heap: List[Item] = []
     seq = 0
@@ -126,7 +132,7 @@ def heap_algorithm(
                          ctx.tree_q.read_node(item[4]), run, index)
         return True
 
-    with traced_traversal(ctx, NAME, tie_break=repr(ties),
+    with traced_traversal(ctx, name, tie_break=repr(ties),
                           height_strategy=height_strategy):
         tracer = ctx.tracer
         with tracer.span("heap") if tracer.enabled else _noop() as heap_span:
@@ -151,7 +157,7 @@ def heap_algorithm(
                     max_size=ctx.stats.max_queue_size,
                     leftover=len(heap),
                 )
-    return ctx.result(NAME)
+    return ctx.result(name)
 
 
 def _pop_leaf_pairs(

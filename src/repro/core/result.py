@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.storage.stats import QueryStats
 
@@ -35,13 +35,6 @@ class CPQResult:
     ``trace`` is the finished root span when the query was issued with
     ``CPQRequest(trace=True)`` and no external tracer; ``None``
     otherwise.
-
-    ``incremental`` is a live continuation iterator when the query ran
-    through the incremental distance join with
-    ``incremental_join_request(..., continuation=True)``: consuming it
-    yields the (K+1)-th, (K+2)-th, ... closest pairs lazily, in
-    ascending distance order, updating ``stats`` as it goes.  ``None``
-    for every materialised (non-incremental) execution.
     """
 
     pairs: List[ClosestPair] = field(default_factory=list)
@@ -49,7 +42,6 @@ class CPQResult:
     algorithm: str = ""
     k: int = 1
     trace: Optional[object] = None
-    incremental: Optional[Iterator["ClosestPair"]] = None
 
     @property
     def max_distance(self) -> float:

@@ -224,7 +224,10 @@ class TieBreak:
         return tuple(c.key(candidate) for c in self.criteria)
 
     def keys(self, boxes: CandidateBoxes) -> List[Tuple[float, ...]]:
-        """:meth:`key` of every candidate in ``boxes``, in order."""
+        """:meth:`key` of every candidate in ``boxes``, in order; the
+        empty chain keys each ``()``, leaving ties in insertion order."""
+        if not self.criteria:
+            return [()] * len(boxes.idx_p)
         return list(zip(*(c.keys(boxes).tolist() for c in self.criteria)))
 
     def __repr__(self) -> str:

@@ -59,6 +59,9 @@ with a :class:`~repro.storage.buffer.RetryPolicy`); corruption is
 
 from __future__ import annotations
 
+import time
+from typing import Callable
+
 
 class ReproError(Exception):
     """Base class for every error the library defines."""
@@ -98,6 +101,17 @@ class DeadlineExceeded(ReproError):
     buffers remain usable.  (Re-exported by ``repro.core.api`` and
     ``repro.service``.)
     """
+
+    @classmethod
+    def probe(cls, deadline: float) -> Callable[[], None]:
+        """The cancellation probe that raises this error once
+        :func:`time.monotonic` passes ``deadline``."""
+
+        def probe() -> None:
+            if time.monotonic() > deadline:
+                raise cls("query exceeded its deadline")
+
+        return probe
 
 
 class UnsupportedCapabilityError(ReproError, ValueError):

@@ -9,34 +9,20 @@ standard machinery:
 * MINMAXDIST-based tightening of T is only sound for *distinct* nodes
   (for a node paired with itself, the "guaranteed pair" of Inequality 2
   may be a point with itself at distance 0);
-* node pairs are canonicalised (page_p <= page_q) so each unordered
-  pair of subtrees is examined once.
+* a node paired with itself yields each unordered pair of its
+  children once.
 
-The implementation is a heap-based traversal in the style of the
-paper's HEAP algorithm.
+The engine's HEAP applies them in self-join mode
+(:attr:`repro.core.engine.CPQContext.self_join`), which the registered
+algorithm ``"self"`` selects; this module is its one-tree entry point.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from typing import List, Tuple
-
-import numpy as np
-
-from repro.core.kheap import KHeap
-from repro.core.result import ClosestPair, CPQResult
+from repro.core.api import CPQRequest, k_closest_pairs
+from repro.core.result import CPQResult
 from repro.geometry.minkowski import EUCLIDEAN, MinkowskiMetric
-from repro.geometry.vectorized import (
-    pairwise_mindist,
-    pairwise_minmaxdist,
-    pairwise_point_distances,
-)
-from repro.rtree.node import Node
 from repro.rtree.tree import RTree
-from repro.storage.stats import QueryStats
-
-NAME = "SELF-HEAP"
 
 
 def self_k_closest_pairs(
@@ -47,107 +33,6 @@ def self_k_closest_pairs(
     reset_stats: bool = True,
 ) -> CPQResult:
     """The K closest pairs of distinct points of one indexed set."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if reset_stats:
-        tree.file.reset_for_query()
-    stats = QueryStats()
-    kheap = KHeap(k)
-    result = CPQResult(stats=stats, algorithm=NAME, k=k)
-    if tree.root_id is None or len(tree) < 2:
-        stats.merge_io(tree.stats)
-        return result
-
-    bound = math.inf
-
-    def t() -> float:
-        return min(kheap.threshold, bound)
-
-    def offer(entry_a, entry_b, distance: float) -> None:
-        if entry_a.oid == entry_b.oid:
-            return
-        if entry_a.oid < entry_b.oid:
-            first, second = entry_a, entry_b
-        else:
-            first, second = entry_b, entry_a
-        kheap.offer(
-            ClosestPair(
-                float(distance), first.point, second.point,
-                first.oid, second.oid,
-            )
-        )
-
-    def scan(leaf_a: Node, leaf_b: Node) -> None:
-        pts_a = leaf_a.points_array()
-        pts_b = leaf_b.points_array()
-        distances = pairwise_point_distances(pts_a, pts_b, metric)
-        stats.distance_computations += distances.size
-        if leaf_a.page_id == leaf_b.page_id:
-            # Self pair of a leaf: only the strict upper triangle is a
-            # distinct unordered pair.
-            distances = np.where(
-                np.triu(np.ones_like(distances, dtype=bool), 1),
-                distances,
-                np.inf,
-            )
-        keep = np.isfinite(distances) & (distances <= t())
-        rows, cols = np.nonzero(keep)
-        if rows.size == 0:
-            return
-        values = distances[rows, cols]
-        for r in np.argsort(values, kind="stable"):
-            d = float(values[r])
-            if d > t():
-                break
-            offer(leaf_a.entries[rows[r]], leaf_b.entries[cols[r]], d)
-
-    # Heap items: (MINMINDIST, sequence, page_a, page_b), page_a <= page_b.
-    heap: List[Tuple[float, int, int, int]] = []
-    seq = 0
-
-    def process(node_a: Node, node_b: Node) -> None:
-        nonlocal seq, bound
-        stats.node_pairs_visited += 1
-        if node_a.is_leaf and node_b.is_leaf:
-            scan(node_a, node_b)
-            return
-        # Same-height self join: both sides are internal together.
-        lo_a, hi_a = node_a.lo_array(), node_a.hi_array()
-        lo_b, hi_b = node_b.lo_array(), node_b.hi_array()
-        minmin = pairwise_mindist(lo_a, hi_a, lo_b, hi_b, metric)
-        same_node = node_a.page_id == node_b.page_id
-        if k == 1:
-            minmax = pairwise_minmaxdist(lo_a, hi_a, lo_b, hi_b, metric)
-            if same_node:
-                # Only distinct children give a sound Inequality-2 bound.
-                np.fill_diagonal(minmax, np.inf)
-            candidate = float(minmax.min())
-            if candidate < bound:
-                bound = candidate
-        for i in range(minmin.shape[0]):
-            start = i if same_node else 0
-            for j in range(start, minmin.shape[1]):
-                d = float(minmin[i, j])
-                if d > t():
-                    continue
-                page_a = node_a.entries[i].child_id
-                page_b = node_b.entries[j].child_id
-                if page_a > page_b:
-                    page_a, page_b = page_b, page_a
-                seq += 1
-                heapq.heappush(heap, (d, seq, page_a, page_b))
-                stats.queue_inserts += 1
-        if len(heap) > stats.max_queue_size:
-            stats.max_queue_size = len(heap)
-
-    root = tree.read_node(tree.root_id)
-    process(root, root)
-    while heap:
-        minmin, __, page_a, page_b = heapq.heappop(heap)
-        if minmin > t():
-            break
-        process(tree.read_node(page_a), tree.read_node(page_b))
-
-    stats.merge_io(tree.stats)
-    result.pairs = kheap.sorted_pairs()
-    return result
+    return k_closest_pairs(tree, tree, CPQRequest(
+        k=k, algorithm="self", metric=metric, reset_stats=reset_stats,
+    ))

@@ -17,7 +17,7 @@ query per point (measured in ``benchmarks/test_extensions_bench.py``).
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,23 +41,30 @@ def semi_closest_pairs(
     *,
     sort_result: bool = True,
     reset_stats: bool = True,
+    cancel_check: Optional[Callable[[], None]] = None,
+    stats: Optional[QueryStats] = None,
 ) -> CPQResult:
     """For every point of P, its nearest point of Q.
 
     Returns one pair per P point, sorted by ascending distance when
     ``sort_result`` (the natural presentation for a Semi-CPQ report).
+    ``cancel_check`` is called once per popped node of Q and aborts
+    the query by raising; counters accumulate into ``stats`` when
+    given.
     """
     if reset_stats:
         tree_p.file.reset_for_query()
         tree_q.file.reset_for_query()
-    stats = QueryStats()
+    if stats is None:
+        stats = QueryStats()
     result = CPQResult(stats=stats, algorithm=NAME, k=0)
     if tree_p.root_id is None or tree_q.root_id is None:
         return result
 
     pairs: List[ClosestPair] = []
     for leaf in _iter_leaves(tree_p):
-        pairs.extend(_leaf_batch_nn(tree_q, leaf, metric, stats))
+        pairs.extend(_leaf_batch_nn(tree_q, leaf, metric, stats,
+                                    cancel_check))
 
     result.k = len(pairs)
     if sort_result:
@@ -82,6 +89,7 @@ def _leaf_batch_nn(
     leaf: Node,
     metric: MinkowskiMetric,
     stats: QueryStats,
+    cancel_check: Optional[Callable[[], None]],
 ) -> List[ClosestPair]:
     """Nearest Q point for every point of one P leaf, in one traversal."""
     points = leaf.points_array()
@@ -97,6 +105,8 @@ def _leaf_batch_nn(
     seq = 0
     while heap:
         bound, __, page_id = heapq.heappop(heap)
+        if cancel_check is not None:
+            cancel_check()
         worst = float(best_distance.max())
         if bound > worst:
             break  # no remaining node can improve any leaf point

@@ -25,9 +25,8 @@ are skipped.  After this the join is "incremental up to K, only".
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.core.kheap import KHeap
 from repro.core.result import ClosestPair, CPQResult
@@ -41,7 +40,7 @@ from repro.incremental.pairs import (
 )
 from repro.rtree.node import Node
 from repro.rtree.tree import RTree
-from repro.storage.stats import QueryStats
+from repro.storage.stats import QueryStats, distinct_counters
 
 #: Traversal policies: which side(s) of a node/node pair to expand.
 BASIC = "bas"
@@ -63,12 +62,14 @@ def incremental_distance_join(
     metric: MinkowskiMetric = EUCLIDEAN,
     k_bound: Optional[int] = None,
     stats: Optional[QueryStats] = None,
+    cancel_check: Optional[Callable[[], None]] = None,
 ) -> Iterator[ClosestPair]:
     """Yield closest pairs of (P, Q) in ascending distance order.
 
     The generator is lazy: consuming n pairs performs only the work
     needed for the n closest.  Pass ``stats`` to collect cost counters
-    while iterating.
+    while iterating.  ``cancel_check`` is called once per popped queue
+    item and aborts the join by raising.
     """
     if policy not in POLICIES:
         raise ValueError(
@@ -90,15 +91,13 @@ def incremental_distance_join(
     # start, so iterating never mutates the trees' own counters --
     # essential when the trees are shared with concurrent queries (the
     # service engine attributes I/O per query from the same counters).
-    base_p = tree_p.stats.snapshot()
-    base_q = tree_q.stats.snapshot()
+    counters = distinct_counters(tree_p.stats, tree_q.stats)
+    bases = [counter.snapshot() for counter in counters]
 
     def _sync() -> None:
-        nonlocal base_p, base_q
-        stats.merge_io(tree_p.stats.since(base_p),
-                       tree_q.stats.since(base_q))
-        base_p = tree_p.stats.snapshot()
-        base_q = tree_q.stats.snapshot()
+        for i, counter in enumerate(counters):
+            stats.merge_io(counter.since(bases[i]))
+            bases[i] = counter.snapshot()
 
     tie_sign = 1 if tie_policy == DEPTH_FIRST else -1
     bound_heap = KHeap(k_bound) if k_bound is not None else None
@@ -186,6 +185,8 @@ def incremental_distance_join(
     reported = 0
     while queue:
         distance, __, __, side_p, side_q = heapq.heappop(queue)
+        if cancel_check is not None:
+            cancel_check()
         if distance > threshold():
             break
         if is_object(side_p) and is_object(side_q):
@@ -239,49 +240,3 @@ def k_distance_join(
         )
     )
     return CPQResult(pairs=pairs, stats=stats, algorithm=policy.upper(), k=k)
-
-
-def incremental_join_request(
-    tree_p: RTree,
-    tree_q: RTree,
-    request,
-    *,
-    continuation: bool = False,
-) -> CPQResult:
-    """Run the incremental distance join for a :class:`CPQRequest`.
-
-    The ``CPQRequest``-native entry point registered as algorithm
-    ``"incremental"`` in :data:`repro.core.api.ALGORITHM_REGISTRY`.
-    Honours the request's ``k``, ``metric``, ``buffer_pages`` and
-    ``reset_stats`` fields; the traversal policy is always SML (the
-    paper's best, Section 5.2) and the result's ``algorithm`` label is
-    ``"INC-SML"``.
-
-    With ``continuation=True`` the K-bounding optimisation is disabled
-    and the live generator is attached as ``result.incremental``:
-    consuming it yields the (K+1)-th, (K+2)-th, ... pairs lazily,
-    accumulating I/O into the same ``result.stats`` object.
-    """
-    if request.buffer_pages is not None:
-        tree_p.file.set_buffer_capacity(request.buffer_pages // 2)
-        tree_q.file.set_buffer_capacity(request.buffer_pages // 2)
-    if request.reset_stats:
-        tree_p.file.reset_for_query()
-        tree_q.file.reset_for_query()
-    stats = QueryStats()
-    gen = incremental_distance_join(
-        tree_p,
-        tree_q,
-        policy=SIMULTANEOUS,
-        metric=request.metric,
-        k_bound=None if continuation else request.k,
-        stats=stats,
-    )
-    pairs = list(itertools.islice(gen, request.k))
-    return CPQResult(
-        pairs=pairs,
-        stats=stats,
-        algorithm="INC-SML",
-        k=request.k,
-        incremental=gen if continuation else None,
-    )

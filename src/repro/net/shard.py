@@ -91,6 +91,7 @@ from repro.catalog.core import TreeSpec, tree_spec  # noqa: F401 (re-export)
 from repro.core.engine import CPQContext, traced_traversal
 from repro.core.parallel import PartitionTask, partition_tasks, run_chunk
 from repro.core.result import CPQResult
+from repro.errors import DeadlineExceeded
 from repro.net.frames import FrameError, decode_frame, encode_frame
 from repro.net.retry import SHARD_RETRY_POLICY, HedgePolicy, RetryPolicy
 from repro.rtree.tree import RTree
@@ -128,9 +129,9 @@ def _worker_query(tree_p: RTree, tree_q: RTree, request, tasks,
         ctx = CPQContext.for_request(tree_p, tree_q, request)
         ctx.bound = initial_bound
         if request.deadline_ms is not None:
-            from repro.core.api import _deadline_probe
-
-            ctx.cancel_check = _deadline_probe(request.deadline_ms)
+            ctx.cancel_check = DeadlineExceeded.probe(
+                time.monotonic() + request.deadline_ms / 1000.0
+            )
         completed = run_chunk(ctx, request, tasks)
         io = tree_p.stats.since(before_p)
         io.add(tree_q.stats.since(before_q))
@@ -149,7 +150,7 @@ def _worker_query(tree_p: RTree, tree_q: RTree, request, tasks,
             # Deadline expiry says nothing about shard health; the
             # coordinator returns the probe slot instead of
             # recording a breaker failure.
-            "deadline": type(exc).__name__ == "DeadlineExceeded",
+            "deadline": isinstance(exc, DeadlineExceeded),
         }
 
 

@@ -78,6 +78,7 @@ from repro.service.breaker import CLOSED, CircuitBreaker
 from repro.service.cache import ResultCache, cache_key
 from repro.service.metrics import ServiceMetrics
 from repro.service.planner import PlanDecision, Planner
+from repro.storage.stats import IOStats, distinct_counters
 
 STATUS_OK = "ok"
 STATUS_REJECTED = "rejected"
@@ -706,7 +707,8 @@ class QueryService:
                 for tree in (pair.tree_p, pair.tree_q):
                     if tree.root_id is not None:
                         tree.read_node(tree.root_id)
-            if request.kind != "cpq" or request.algorithm != "auto":
+            if (request.kind != "cpq" or request.algorithm != "auto"
+                    or pair.tree_p is pair.tree_q):
                 continue
             budget = (self.max_query_workers
                       if request.workers == 0 else 1)
@@ -870,19 +872,6 @@ class QueryService:
         if deadline is not None and time.monotonic() > deadline:
             raise DeadlineExceeded()
 
-    @staticmethod
-    def _deadline_probe(
-        deadline: Optional[float],
-    ) -> Optional[Callable[[], None]]:
-        if deadline is None:
-            return None
-
-        def probe() -> None:
-            if time.monotonic() > deadline:
-                raise DeadlineExceeded()
-
-        return probe
-
     def _execute(
         self, request: Request, deadline: Optional[float],
         preplanned: Optional[PlanDecision] = None,
@@ -969,8 +958,8 @@ class QueryService:
                        f"and no stale result available"),
             )
 
-        before_p = pair.tree_p.stats.snapshot()
-        before_q = pair.tree_q.stats.snapshot()
+        counters = distinct_counters(pair.tree_p.stats, pair.tree_q.stats)
+        before = [counter.snapshot() for counter in counters]
         try:
             if request.kind == "cpq":
                 result, algorithm, plan = self._run_cpq(
@@ -1000,8 +989,9 @@ class QueryService:
             pair.breaker.release_probe()
             raise
         pair.breaker.record_success()
-        io = pair.tree_p.stats.since(before_p)
-        io.add(pair.tree_q.stats.since(before_q))
+        io = IOStats()
+        for counter, base in zip(counters, before):
+            io.add(counter.since(base))
         # A sharded execution that lost shards and could not recover
         # their partitions flags the result partial; such a result is
         # *not* cached (it is not the true answer for the key).
@@ -1043,7 +1033,11 @@ class QueryService:
         preplanned: Optional[PlanDecision] = None,
     ):
         plan = None
-        if request.algorithm == "auto":
+        if request.algorithm == "auto" and pair.tree_p is pair.tree_q:
+            # One tree on both sides (CPQL ``FROM a``) is the self-join,
+            # which only "self" answers; nothing is left to plan.
+            algorithm = "self"
+        elif request.algorithm == "auto":
             if preplanned is not None:
                 plan = preplanned
             else:
@@ -1072,7 +1066,8 @@ class QueryService:
         else:
             workers = 1
         core_request = request.to_query(algorithm, workers=workers)
-        probe = self._deadline_probe(deadline)
+        probe = (DeadlineExceeded.probe(deadline)
+                 if deadline is not None else None)
         result = None
         if self._cpq_executor is not None:
             result = self._cpq_executor(

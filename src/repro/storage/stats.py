@@ -9,7 +9,7 @@ and reset it between queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Mapping
+from typing import Dict, List, Mapping
 
 
 @dataclass
@@ -77,6 +77,12 @@ class IOStats:
         self.corrupt_reads += other.corrupt_reads
 
 
+def distinct_counters(*counters: IOStats) -> List[IOStats]:
+    """``counters`` without repeats of one object: a tree serving both
+    sides of a query (a self-join) has its I/O counted once."""
+    return list({id(counter): counter for counter in counters}.values())
+
+
 @dataclass
 class QueryStats:
     """Aggregate statistics for one CPQ execution across both trees.
@@ -119,7 +125,8 @@ class QueryStats:
                                   counters["max_queue_size"])
 
     def merge_io(self, *stats: IOStats) -> None:
-        """Add per-tree I/O counters into the aggregate."""
-        for s in stats:
+        """Add per-tree I/O counters into the aggregate, each distinct
+        counter once (:func:`distinct_counters`)."""
+        for s in distinct_counters(*stats):
             self.disk_accesses += s.disk_reads
             self.buffer_hits += s.buffer_hits

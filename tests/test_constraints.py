@@ -168,7 +168,7 @@ class TestCapabilityGating:
 
     def test_incapable_algorithm_rejected_for_colors(self):
         with pytest.raises(UnsupportedCapabilityError) as info:
-            CPQRequest(algorithm="multiway", colors=2)
+            CPQRequest(algorithm="semi", colors=2)
         assert info.value.capability == "colors"
         assert info.value.capable == COLOR_ALGORITHMS
 

@@ -124,7 +124,7 @@ class TestRegistry:
         assert set(ALGORITHMS) == {
             "naive", "exh", "sim", "std", "heap",
             "clipped", "rcp",
-            "self", "semi", "multiway", "incremental",
+            "self", "semi", "incremental",
         }
         for name, spec in ALGORITHM_REGISTRY.items():
             assert spec.name == name
@@ -139,20 +139,16 @@ class TestRegistry:
             spec = ALGORITHM_REGISTRY[name]
             assert spec.supports_parallel
             assert spec.supports_range and spec.supports_colors
-            assert not (spec.self_join or spec.semi or spec.multiway
-                        or spec.incremental)
+            assert not spec.extension
         for name in ("clipped", "rcp"):
             spec = ALGORITHM_REGISTRY[name]
             assert spec.specialized and not spec.plannable
             assert spec.supports_range and spec.supports_colors
         assert ALGORITHM_REGISTRY["clipped"].supports_parallel
         assert not ALGORITHM_REGISTRY["rcp"].supports_parallel
-        assert ALGORITHM_REGISTRY["self"].self_join
-        assert ALGORITHM_REGISTRY["semi"].semi
-        assert ALGORITHM_REGISTRY["multiway"].multiway
-        assert ALGORITHM_REGISTRY["incremental"].incremental
-        for name in ("self", "semi", "multiway", "incremental"):
+        for name in ("self", "semi", "incremental"):
             spec = ALGORITHM_REGISTRY[name]
+            assert spec.extension and not spec.specialized
             assert not spec.supports_parallel
             assert not spec.plannable
 

@@ -597,15 +597,12 @@ class TestIntraQueryParallelism:
 
 
 class TestExtensionAlgorithmsViaService:
-    def test_semi_multiway_incremental_execute_and_cache(
-        self, service_trees
-    ):
+    def test_semi_incremental_execute_and_cache(self, service_trees):
         points_p, __, tree_p, tree_q = service_trees
         # A semi-join answers per point of P, not per K.
-        expected_len = {"semi": len(points_p), "multiway": 4,
-                        "incremental": 4}
+        expected_len = {"semi": len(points_p), "incremental": 4}
         with make_service(tree_p, tree_q, workers=1) as service:
-            for algorithm in ("semi", "multiway", "incremental"):
+            for algorithm in ("semi", "incremental"):
                 first = service.execute(CPQRequest(
                     pair="pair", k=4, algorithm=algorithm,
                 ))
@@ -617,7 +614,7 @@ class TestExtensionAlgorithmsViaService:
                 assert again.cached
                 assert again.result is first.result
             by_algo = service.snapshot()["latency_ms"]["by_algorithm"]
-            assert {"semi", "multiway", "incremental"} <= set(by_algo)
+            assert {"semi", "incremental"} <= set(by_algo)
 
     def test_incremental_matches_heap_distances(self, service_trees):
         __, __, tree_p, tree_q = service_trees
