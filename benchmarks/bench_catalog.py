@@ -19,9 +19,9 @@ worse in measured query disk accesses than the best **packed** kind
 (STR or grid) for that dataset.  The planner does not have to win
 every shape -- it must never recommend a packing that loses badly.
 ``dynamic`` is measured and reported for context but excluded from
-the gate: the planner only recommends it for *mutable* datasets, a
-workload property this static benchmark does not model (its ~100x
-build cost would never amortise here).
+the gate: the planner never recommends it (it suits datasets that
+take live mutation, a workload property this static benchmark does
+not model; its ~100x build cost would never amortise here).
 
 Usage::
 
@@ -42,7 +42,6 @@ import time
 
 from repro.catalog import Catalog
 from repro.core.api import CPQRequest, k_closest_pairs
-from repro.service.planner import Planner
 
 KINDS = ("str", "grid", "dynamic")
 

@@ -149,6 +149,10 @@ class TreeShape:
     levels: List[LevelShape]  # index 0 = leaf level
     workspace: Workspace
     point_count: int
+    #: Seconds slept per buffer miss
+    #: (:attr:`repro.storage.paged_file.PagedFile.read_latency`): the
+    #: only wait worker threads can overlap.
+    read_latency: float = 0.0
 
     @property
     def height(self) -> int:
@@ -158,7 +162,8 @@ class TreeShape:
     def from_tree(
         cls, tree: RTree, workspace: Optional[Workspace] = None
     ) -> "TreeShape":
-        """Measure an actual tree (exact node counts and extents)."""
+        """Measure an actual tree (exact node counts and extents, and
+        its file's read latency)."""
         if tree.root_id is None:
             raise ValueError("cannot shape an empty tree")
         counts = [0] * tree.height
@@ -181,7 +186,7 @@ class TreeShape:
                        heights[j] / counts[j])
             for j in range(tree.height)
         ]
-        return cls(levels, workspace, len(tree))
+        return cls(levels, workspace, len(tree), tree.file.read_latency)
 
     @classmethod
     def of(cls, tree: RTree) -> Optional["TreeShape"]:
@@ -412,46 +417,45 @@ def estimate_range_selectivity(shape: TreeShape, range_spec) -> float:
     return min(1.0, (ox * oy) / ws.area)
 
 
-def estimate_parallel_speedup(
-    accesses: float,
-    workers: int,
-    partition_accesses: float = 8.0,
-) -> float:
-    """Amdahl-style speedup estimate for the partitioned executor.
+#: Measured serial wall time per visited node pair, in milliseconds,
+#: at read latency 0: everything a query spends that worker threads
+#: cannot overlap (kernels, queue, page decode).  Calibrated on the
+#: ``kcpq_sequoia`` pair as ``core.traverse_ms`` over
+#: ``core.node_pairs_per_query`` from
+#: ``python3 perfbench/run.py --workload kcpq_sequoia --seed 1
+#: --seconds 50 --trace 1`` (340.6 ms / 12,918 node pairs on one CPU
+#: of a 2-vCPU x86-64 container); re-run it after traversal changes
+#: and update this.
+CPU_MS_PER_NODE_PAIR = 0.026
 
-    The parallel executor (:mod:`repro.core.parallel`) expands both
-    roots serially to build its task list -- roughly
-    ``partition_accesses`` node reads that no worker count can hide --
-    and splits the remaining traversal across ``workers``.  The model
-    ignores bound-sharing losses (workers start from the partitioning
-    bound, so duplicated work is limited to the refresh interval) and
-    buffer-lock contention; treat the result as an upper bound used for
-    go/no-go decisions, not a latency prediction.
+
+def estimate_query_ms(
+    accesses: float, read_latency: float, workers: int = 1
+) -> float:
+    """Predicted wall time of one K-CPQ at ``workers`` threads.
+
+    A visited node pair reads two pages, so ``accesses / 2`` node
+    pairs cost :data:`CPU_MS_PER_NODE_PAIR` each, on one thread
+    whatever ``workers`` is (the GIL serialises them).  Each access
+    also waits ``read_latency`` seconds, and only that wait divides
+    across ``workers`` (the paged file sleeps outside the buffer lock
+    with the GIL released).  At read latency 0 more workers therefore
+    predict no gain.
 
     Parameters
     ----------
     accesses:
-        Predicted total disk accesses of the serial execution
-        (:func:`estimate_cpq_accesses`).
+        Predicted disk accesses (:func:`estimate_cpq_accesses`).
+    read_latency:
+        Seconds per buffer miss (:attr:`TreeShape.read_latency`).
     workers:
-        Worker count being considered (>= 1).
-    partition_accesses:
-        Serial node reads spent building the task list (the 1-2 level
-        frontier expansion of both roots).
-
-    Returns
-    -------
-    float
-        Estimated wall-clock speedup factor (>= 1.0 when the serial
-        fraction dominates nothing; == 1.0 for one worker).
+        Worker threads (>= 1).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if workers == 1 or accesses <= 0:
-        return 1.0
-    serial = min(partition_accesses, accesses)
-    parallel = max(accesses - serial, 0.0)
-    return accesses / (serial + parallel / workers)
+    cpu = accesses / 2.0 * CPU_MS_PER_NODE_PAIR
+    io = accesses * read_latency * 1000.0
+    return cpu + io / workers
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +472,7 @@ INDEX_KINDS = ("str", "grid", "dynamic")
 #: counts as skewed: uniform points at ~one leaf per cell sit well
 #: below (Poisson counts give CV ~ 1/sqrt(occupancy)), clustered real
 #: data (SEQUOIA-like) sits well above.
-DEFAULT_GRID_SKEW_THRESHOLD = 0.75
+GRID_SKEW_THRESHOLD = 0.75
 
 
 @dataclass(frozen=True)
@@ -481,21 +485,15 @@ class IndexKindDecision:
     skew: float
     #: Point count the decision describes.
     n: int
-    #: Query-window selectivity the decision accounted for (None for
-    #: unconstrained workloads).
-    selectivity: Optional[float] = None
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "kind": self.kind,
             "reason": self.reason,
             "skew": round(self.skew, 4) if self.skew == self.skew
             else None,
             "n": self.n,
         }
-        if self.selectivity is not None:
-            out["selectivity"] = round(self.selectivity, 4)
-        return out
 
 
 def grid_occupancy_cv(
@@ -510,7 +508,7 @@ def grid_occupancy_cv(
     per cell scores well under 1; clustered data scores above, growing
     with the clustering.  The default resolution targets ~8 expected
     points per cell so the Poisson noise floor (``1/sqrt(8)`` ~ 0.35)
-    stays clearly below :data:`DEFAULT_GRID_SKEW_THRESHOLD`.
+    stays clearly below :data:`GRID_SKEW_THRESHOLD`.
     """
     n = len(points)
     if n == 0:
@@ -533,60 +531,32 @@ def grid_occupancy_cv(
     return math.sqrt(variance) / mean
 
 
-def recommend_index_kind(
-    n: int,
-    skew: float,
-    mutable: bool = False,
-    selectivity: Optional[float] = None,
-    skew_threshold: float = DEFAULT_GRID_SKEW_THRESHOLD,
-    selectivity_threshold: float = 0.05,
-) -> IndexKindDecision:
-    """Pick an index kind for a dataset's shape and workload.
+def recommend_index_kind(n: int, skew: float) -> IndexKindDecision:
+    """Pick a packed index kind from a dataset's point count and skew.
 
     The policy mirrors what ``benchmarks/bench_catalog.py`` measures:
 
-    * a **mutable** dataset needs ``dynamic`` -- packed indexes are
-      read-optimised snapshots that would need a rebuild per batch;
     * **low skew** (uniform-ish data) -> ``grid``: one arithmetic pass
       builds leaves as tight as STR's;
     * **skewed** data -> ``str``: sort-tile recursion adapts tile
       boundaries to the data, where a uniform grid leaves elongated,
-      overlapping leaves;
-    * a tight expected query window (``selectivity`` at most
-      ``selectivity_threshold``) also prefers ``str`` -- clipped
-      traversals prune best against data-partitioned MBRs.
+      overlapping leaves.
     """
-    if mutable:
-        return IndexKindDecision(
-            kind="dynamic",
-            reason="dataset takes live mutation; packed indexes are "
-                   "read-only snapshots needing a rebuild per batch",
-            skew=skew, n=n, selectivity=selectivity,
-        )
-    if selectivity is not None and selectivity <= selectivity_threshold:
-        return IndexKindDecision(
-            kind="str",
-            reason=f"expected query windows cover ~{selectivity:.1%} "
-                   f"of the workspace (<= {selectivity_threshold:.0%}); "
-                   f"data-partitioned STR leaves prune tight windows "
-                   f"best",
-            skew=skew, n=n, selectivity=selectivity,
-        )
-    if skew == skew and skew <= skew_threshold:  # NaN-safe
+    if skew == skew and skew <= GRID_SKEW_THRESHOLD:  # NaN-safe
         return IndexKindDecision(
             kind="grid",
             reason=f"grid-occupancy CV {skew:.2f} <= "
-                   f"{skew_threshold:g}: near-uniform data packs into "
-                   f"tight grid leaves in one arithmetic pass",
-            skew=skew, n=n, selectivity=selectivity,
+                   f"{GRID_SKEW_THRESHOLD:g}: near-uniform data packs "
+                   f"into tight grid leaves in one arithmetic pass",
+            skew=skew, n=n,
         )
     return IndexKindDecision(
         kind="str",
         reason=(
-            f"grid-occupancy CV {skew:.2f} > {skew_threshold:g}: "
+            f"grid-occupancy CV {skew:.2f} > {GRID_SKEW_THRESHOLD:g}: "
             f"skewed data needs sort-tile leaf boundaries"
             if skew == skew else
             "no skew statistic available; STR is the safe default"
         ),
-        skew=skew, n=n, selectivity=selectivity,
+        skew=skew, n=n,
     )

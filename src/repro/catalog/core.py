@@ -516,14 +516,13 @@ class Catalog:
         dimension: Optional[int] = None,
         source: Optional[str] = None,
         overwrite: bool = False,
-        planner=None,
         use_mmap: bool = False,
     ) -> DatasetEntry:
         """Build and persist one dataset's index(es).
 
         ``kind="auto"`` asks the planner's index dimension
         (:meth:`repro.service.planner.Planner.plan_index`) to choose
-        from the dataset's shape; the decision's evidence is kept in
+        from the dataset's points; the decision's evidence is kept in
         the index's build stats.  ``extra_kinds`` builds additional
         indexes alongside (the benchmark registers all three).  Page
         files are written next to the catalog as
@@ -547,11 +546,9 @@ class Catalog:
             dimension = len(points[0])
         decision = None
         if kind == "auto":
-            if planner is None:
-                from repro.service.planner import Planner
+            from repro.service.planner import Planner
 
-                planner = Planner()
-            decision = planner.plan_index(points)
+            decision = Planner().plan_index(points)
             kind = decision.kind
         kinds = [kind] + [k for k in extra_kinds if k != kind]
         for k in kinds:

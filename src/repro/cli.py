@@ -331,17 +331,23 @@ def _request_fields(args: argparse.Namespace) -> dict:
 
 def _open_pair(args: argparse.Namespace, *, use_mmap: bool = False,
                warn_paths: bool = True, split_buffer: bool = False):
-    """``args.left`` and ``args.right`` through :func:`_open_input`;
-    ``split_buffer`` gives each tree half of ``--buffer``."""
+    """``args.left`` and ``args.right`` through :func:`_open_input`.
+
+    One name on both sides opens one handle, so the self-join sees the
+    one tree it needs.  ``split_buffer`` gives each tree half of
+    ``--buffer``, or all of it to a tree serving both sides."""
     catalog = _get_catalog(args)
-    trees = tuple(
-        _open_input(ref, catalog, use_mmap=use_mmap, warn_paths=warn_paths)
-        for ref in (args.left, args.right)
-    )
+    tree_p = _open_input(args.left, catalog, use_mmap=use_mmap,
+                         warn_paths=warn_paths)
+    tree_q = (tree_p if args.right == args.left
+              else _open_input(args.right, catalog, use_mmap=use_mmap,
+                               warn_paths=warn_paths))
     if split_buffer and args.buffer:
-        for tree in trees:
-            tree.file.set_buffer_capacity(args.buffer // 2)
-    return trees
+        share = 1 if tree_p is tree_q else 2
+        tree_p.file.set_buffer_capacity(args.buffer // share)
+        tree_q.file.set_buffer_capacity(args.buffer // share)
+    return tree_p, tree_q
+
 
 
 def cmd_query(args: argparse.Namespace) -> int:
@@ -396,7 +402,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
     heap ops, per-tree I/O).  ``--algorithm auto`` additionally runs
     the cost-model planner and shows its evidence.
     """
-    from repro.analysis.cost_model import TreeShape
     from repro.errors import UnsupportedCapabilityError
     from repro.obs import Tracer, render_trace, write_trace_jsonl
     from repro.service.planner import Planner
@@ -412,11 +417,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
         with tracer.span("request", kind="cpq", k=args.k) as root:
             algorithm = args.algorithm
             if algorithm == "auto":
-                algorithm = Planner().plan(
-                    TreeShape.of(tree_p), TreeShape.of(tree_q),
-                    args.buffer, k=args.k, tracer=tracer,
+                algorithm, __ = Planner().plan_trees(
+                    tree_p, tree_q, args.buffer, args.k, tracer=tracer,
                     range_spec=fields["range"],
-                ).algorithm
+                )
             result = k_closest_pairs(
                 tree_p, tree_q,
                 request=CPQRequest(algorithm=algorithm, **fields),

@@ -188,6 +188,9 @@ def _run_semi(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
 def _run_incremental(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
     from repro.incremental.distance_join import incremental_distance_join
 
+    # The join counts I/O from its own start; the context's root reads
+    # came before it.
+    ctx.stats.merge_io(ctx.tree_p.stats, ctx.tree_q.stats)
     with traced_traversal(ctx, "INC"):
         pairs = list(incremental_distance_join(
             ctx.tree_p, ctx.tree_q, metric=request.metric,
@@ -497,8 +500,10 @@ def k_closest_pairs(
     if request is None:
         request = CPQRequest()
     if request.buffer_pages is not None:
-        tree_p.file.set_buffer_capacity(request.buffer_pages // 2)
-        tree_q.file.set_buffer_capacity(request.buffer_pages // 2)
+        # Half the pages per tree; a file serving both sides gets all.
+        share = 1 if tree_p.file is tree_q.file else 2
+        tree_p.file.set_buffer_capacity(request.buffer_pages // share)
+        tree_q.file.set_buffer_capacity(request.buffer_pages // share)
     if request.reset_stats:
         tree_p.file.reset_for_query()
         tree_q.file.reset_for_query()

@@ -481,7 +481,9 @@ class ShardManager:
 
     def _spawn(self, shard: _Shard) -> None:
         """(Re)start one shard process with a fresh inbox."""
-        shard.inbox = self._mp.Queue()
+        retired, shard.inbox = shard.inbox, self._mp.Queue()
+        if retired is not None:
+            retired.close()
         shard.process = self._mp.Process(
             target=shard_worker_main,
             args=(shard.shard_id, self.spec_p, self.spec_q,
@@ -548,6 +550,18 @@ class ShardManager:
                 shard.process.terminate()
                 shard.process.join(1.0)
         self._collector.join(timeout_s)
+        # Join the queues' feeder threads here: left running, they
+        # release the queues' semaphores after the caller may already
+        # have stopped the resource tracker.  A shard that did not
+        # exit cleanly may leave unread jobs in a full pipe, so its
+        # inbox is not waited on.
+        for shard in self._shards:
+            if shard.process is not None and shard.process.exitcode != 0:
+                shard.inbox.cancel_join_thread()
+        for queue in [shard.inbox for shard in self._shards
+                      if shard.inbox is not None] + [self._outbox]:
+            queue.close()
+            queue.join_thread()
 
     def __enter__(self) -> "ShardManager":
         return self

@@ -287,10 +287,6 @@ class PendingQuery:
         self.request = request
         self.deadline = deadline
         self.admitted_at = time.monotonic()
-        #: A :class:`PlanDecision` computed ahead of execution by
-        #: :meth:`QueryService.submit_batch`, so a batch of "auto"
-        #: queries against one pair plans once, not once per query.
-        self.preplanned: Optional[PlanDecision] = None
         self._event = threading.Event()
         self._response: Optional[QueryResponse] = None
 
@@ -353,9 +349,6 @@ class QueryService:
     default_deadline_ms:
         Deadline applied to requests that do not carry their own
         (milliseconds, measured from admission so queue wait counts).
-    planner:
-        Algorithm-selection policy; a default :class:`Planner` when
-        omitted.
     metrics:
         Metrics sink shared across services if desired; a fresh
         :class:`ServiceMetrics` when omitted.
@@ -403,7 +396,6 @@ class QueryService:
         queue_size: int = 64,
         cache_size: int = 128,
         default_deadline_ms: Optional[float] = None,
-        planner: Optional[Planner] = None,
         metrics: Optional[ServiceMetrics] = None,
         tracer=None,
         max_query_workers: int = 1,
@@ -430,7 +422,7 @@ class QueryService:
         #: worker threads), independent of the ``workers`` pool that
         #: runs whole queries.  1 keeps every query serial.
         self.max_query_workers = max_query_workers
-        self.planner = planner if planner is not None else Planner()
+        self.planner = Planner()
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.cache = ResultCache(cache_size)
@@ -594,16 +586,12 @@ class QueryService:
 
     # -- submission --------------------------------------------------------
 
-    def submit(self, request: Request,
-               _preplanned: Optional[PlanDecision] = None) -> PendingQuery:
+    def submit(self, request: Request) -> PendingQuery:
         """Admit a request; never blocks and never raises for load.
 
         Returns a handle whose :meth:`PendingQuery.result` yields the
         structured response -- immediately resolved as ``rejected``
-        when the service is saturated or closed.  ``_preplanned`` is
-        :meth:`submit_batch`'s channel for a shared plan decision; it
-        must be installed before enqueueing (a pool worker may pick the
-        query up immediately).
+        when the service is saturated or closed.
         """
         deadline_ms = (
             request.deadline_ms
@@ -616,7 +604,6 @@ class QueryService:
             else None
         )
         pending = PendingQuery(request, deadline)
-        pending.preplanned = _preplanned
         self.metrics.record_submitted()
         if self._closed:
             self._finish(pending, QueryResponse(
@@ -674,63 +661,30 @@ class QueryService:
     def submit_batch(
         self, requests: Sequence[Request]
     ) -> List[PendingQuery]:
-        """Admit a batch with amortised planning and shared warmup.
+        """Admit a batch after one shared buffer warmup.
 
-        Per-query work that repeats across a homogeneous batch is
-        hoisted out of the worker pool:
-
-        * **Planning** -- ``algorithm="auto"`` CPQ requests against the
-          same pair with the same ``k`` share one
-          :class:`~repro.service.planner.PlanDecision` (decisions are
-          deterministic per tree generation, so re-planning per query
-          only costs time).  Each execution still tallies its applied
-          decision in the metrics.
-        * **Buffer warmup** -- both roots of every addressed pair are
-          read once before admission, so the pool's first wave of
-          workers hits a warm buffer instead of racing duplicate
-          root faults.
+        Both roots of every addressed pair are read once before
+        admission, so the pool's first wave of workers hits a warm
+        buffer instead of racing duplicate root faults.  Each request
+        is then admitted, and planned at execution, exactly as by
+        :meth:`submit`.
 
         Returns the handles in request order; collect results with
         ``[h.result() for h in handles]``.  Admission semantics match
         :meth:`submit` (rejected-on-full, never blocks).
         """
-        plans: Dict[Tuple, PlanDecision] = {}
         warmed = set()
         for request in requests:
             with self._pairs_lock:
                 pair = self._pairs.get(request.pair)
-            if pair is None:
-                continue  # submit() resolves it as an error response
+            if pair is None or pair.name in warmed:
+                continue  # submit() resolves an unknown pair as an error
+            warmed.add(pair.name)
             self._refresh_pair(pair)
-            if pair.name not in warmed:
-                warmed.add(pair.name)
-                for tree in (pair.tree_p, pair.tree_q):
-                    if tree.root_id is not None:
-                        tree.read_node(tree.root_id)
-            if (request.kind != "cpq" or request.algorithm != "auto"
-                    or pair.tree_p is pair.tree_q):
-                continue
-            budget = (self.max_query_workers
-                      if request.workers == 0 else 1)
-            key = (pair.name, request.k, budget, request.range)
-            if key not in plans:
-                shape_p, shape_q = self._shapes(pair)
-                plans[key] = self.planner.plan(
-                    shape_p, shape_q, pair.buffer_pages(), k=request.k,
-                    tracer=self.tracer, workers=budget,
-                    range_spec=request.range,
-                )
-        handles = []
-        for request in requests:
-            preplanned = None
-            if request.kind == "cpq" and request.algorithm == "auto":
-                budget = (self.max_query_workers
-                          if request.workers == 0 else 1)
-                preplanned = plans.get(
-                    (request.pair, request.k, budget, request.range)
-                )
-            handles.append(self.submit(request, _preplanned=preplanned))
-        return handles
+            for tree in (pair.tree_p, pair.tree_q):
+                if tree.root_id is not None:
+                    tree.read_node(tree.root_id)
+        return [self.submit(request) for request in requests]
 
     # -- observability -----------------------------------------------------
 
@@ -828,8 +782,7 @@ class QueryService:
         request = pending.request
         try:
             self._check_deadline(pending.deadline)
-            return self._execute(request, pending.deadline,
-                                 preplanned=pending.preplanned)
+            return self._execute(request, pending.deadline)
         except DeadlineExceeded:
             return QueryResponse(
                 status=STATUS_DEADLINE, kind=request.kind,
@@ -874,7 +827,6 @@ class QueryService:
 
     def _execute(
         self, request: Request, deadline: Optional[float],
-        preplanned: Optional[PlanDecision] = None,
     ) -> QueryResponse:
         with self._pairs_lock:
             pair = self._pairs.get(request.pair)
@@ -892,7 +844,7 @@ class QueryService:
         snap_q = pair.tree_q.pin() if pin else pair.tree_q.committed()
         try:
             return self._execute_pinned(
-                pair, request, deadline, snap_p, snap_q, preplanned
+                pair, request, deadline, snap_p, snap_q
             )
         finally:
             if pin:
@@ -902,7 +854,6 @@ class QueryService:
     def _execute_pinned(
         self, pair: _RegisteredPair, request: Request,
         deadline: Optional[float], snap_p, snap_q,
-        preplanned: Optional[PlanDecision] = None,
     ) -> QueryResponse:
         generation_p, generation_q = self._refresh_pair(
             pair, (snap_p.generation, snap_q.generation)
@@ -963,7 +914,7 @@ class QueryService:
         try:
             if request.kind == "cpq":
                 result, algorithm, plan = self._run_cpq(
-                    pair, view_p, view_q, request, deadline, preplanned
+                    pair, view_p, view_q, request, deadline
                 )
             elif request.kind == "knn":
                 result, algorithm, plan = self._run_knn(
@@ -1030,28 +981,20 @@ class QueryService:
         view_q,
         request: CPQRequest,
         deadline: Optional[float],
-        preplanned: Optional[PlanDecision] = None,
     ):
         plan = None
-        if request.algorithm == "auto" and pair.tree_p is pair.tree_q:
-            # One tree on both sides (CPQL ``FROM a``) is the self-join,
-            # which only "self" answers; nothing is left to plan.
-            algorithm = "self"
-        elif request.algorithm == "auto":
-            if preplanned is not None:
-                plan = preplanned
-            else:
-                shape_p, shape_q = self._shapes(pair)
-                plan = self.planner.plan(
-                    shape_p, shape_q, pair.buffer_pages(), k=request.k,
-                    tracer=self.tracer,
-                    workers=(self.max_query_workers
-                             if request.workers == 0 else 1),
-                    degraded=pair.breaker.state != CLOSED,
-                    range_spec=request.range,
-                )
-            algorithm = plan.algorithm
-            self.metrics.record_planner_decision(algorithm)
+        if request.algorithm == "auto":
+            algorithm, plan = self.planner.plan_trees(
+                pair.tree_p, pair.tree_q, pair.buffer_pages(), request.k,
+                shapes=lambda: self._shapes(pair),
+                tracer=self.tracer,
+                workers=(self.max_query_workers
+                         if request.workers == 0 else 1),
+                degraded=pair.breaker.state != CLOSED,
+                range_spec=request.range,
+            )
+            if plan is not None:
+                self.metrics.record_planner_decision(algorithm)
         elif request.algorithm in ALGORITHM_REGISTRY:
             algorithm = request.algorithm
         else:
@@ -1061,10 +1004,8 @@ class QueryService:
             )
         if request.workers > 0:
             workers = min(request.workers, self.max_query_workers)
-        elif plan is not None:
-            workers = min(plan.workers, self.max_query_workers)
         else:
-            workers = 1
+            workers = plan.workers if plan is not None else 1
         core_request = request.to_query(algorithm, workers=workers)
         probe = (DeadlineExceeded.probe(deadline)
                  if deadline is not None else None)

@@ -27,21 +27,25 @@ policy: the planner estimates the window's workspace selectivity
 (:func:`~repro.analysis.cost_model.estimate_range_selectivity`) and
 picks the memoized RCP candidate structure for small windows or the
 CLIPPED traversal for large ones.
+
+Offered a worker budget, the planner spends it only on I/O the
+threads can hide: :func:`~repro.analysis.cost_model.estimate_query_ms`
+prices a query as serial CPU per node pair plus page-read waits, and
+only the waits divide across workers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 from repro.analysis.cost_model import (
-    DEFAULT_GRID_SKEW_THRESHOLD,
     IndexKindDecision,
     TreeShape,
     estimate_closest_pair_distance,
     estimate_cpq_accesses,
-    estimate_parallel_speedup,
+    estimate_query_ms,
     estimate_range_selectivity,
     grid_occupancy_cv,
     recommend_index_kind,
@@ -58,6 +62,20 @@ CANDIDATES = PLANNABLE_ALGORITHMS
 FALLBACK = "heap"
 assert FALLBACK in CANDIDATES
 
+#: Predicted disk accesses at or below which candidate ordering cannot
+#: pay for itself: such queries run ``sim``.
+SIM_THRESHOLD = 24.0
+
+#: Ranged plans: windows covering at most this workspace fraction go
+#: to the memoized RCP candidate structure (small windows produce
+#: small, highly reusable candidate lists); larger windows run the
+#: CLIPPED traversal directly.
+RCP_SELECTIVITY_THRESHOLD = 0.10
+
+#: Minimum predicted speedup before a plan spends worker threads on
+#: one query.
+PARALLEL_SPEEDUP_MARGIN = 1.5
+
 
 @dataclass(frozen=True)
 class PlanDecision:
@@ -73,8 +91,8 @@ class PlanDecision:
     k: int
     #: Intra-query worker threads the executor should use (1 = serial).
     #: Only > 1 when the caller offered a worker budget AND the
-    #: predicted traversal is large enough that the partitioned
-    #: executor's serial setup is amortised.
+    #: threads are predicted to hide enough page-read waits to clear
+    #: :data:`PARALLEL_SPEEDUP_MARGIN`.
     workers: int = 1
     #: Predicted wall-clock speedup at ``workers`` (1.0 when serial).
     estimated_speedup: float = 1.0
@@ -100,75 +118,43 @@ class PlanDecision:
 
 
 class Planner:
-    """Chooses a CPQ algorithm per request from cost-model estimates.
+    """Chooses a CPQ algorithm per request from cost-model estimates,
+    and an index kind per dataset."""
 
-    ``sim_threshold`` is the predicted disk-access count below which
-    candidate ordering cannot pay for itself.
-    """
+    def plan_index(self, points) -> IndexKindDecision:
+        """Recommend an index kind for one dataset's points (the
+        catalog's ``kind="auto"`` path), from their count and
+        grid-occupancy skew
+        (:func:`~repro.analysis.cost_model.grid_occupancy_cv`)."""
+        return recommend_index_kind(len(points), grid_occupancy_cv(points))
 
-    def __init__(self, sim_threshold: float = 24.0,
-                 parallel_speedup_threshold: float = 1.5,
-                 rcp_selectivity_threshold: float = 0.10,
-                 grid_skew_threshold: float = DEFAULT_GRID_SKEW_THRESHOLD):
-        if sim_threshold < 0:
-            raise ValueError("sim_threshold must be >= 0")
-        if parallel_speedup_threshold < 1.0:
-            raise ValueError("parallel_speedup_threshold must be >= 1.0")
-        if not 0.0 <= rcp_selectivity_threshold <= 1.0:
-            raise ValueError(
-                "rcp_selectivity_threshold must lie in [0, 1]"
-            )
-        if grid_skew_threshold <= 0.0:
-            raise ValueError("grid_skew_threshold must be > 0")
-        self.sim_threshold = sim_threshold
-        #: Minimum predicted speedup before the planner recommends
-        #: spending worker threads on one query.
-        self.parallel_speedup_threshold = parallel_speedup_threshold
-        #: Ranged plans: windows covering at most this workspace
-        #: fraction go to the memoized RCP candidate structure (small
-        #: windows produce small, highly reusable candidate lists);
-        #: larger windows run the CLIPPED traversal directly.
-        self.rcp_selectivity_threshold = rcp_selectivity_threshold
-        #: Grid-occupancy CV above which a dataset counts as skewed and
-        #: :meth:`plan_index` stops recommending the grid index.
-        self.grid_skew_threshold = grid_skew_threshold
-
-    def plan_index(
+    def plan_trees(
         self,
-        points=None,
+        tree_p,
+        tree_q,
+        buffer_pages: int,
+        k: int = 1,
         *,
-        n: Optional[int] = None,
-        skew: Optional[float] = None,
-        mutable: bool = False,
-        selectivity: Optional[float] = None,
-        tracer=NULL_TRACER,
-    ) -> IndexKindDecision:
-        """Recommend an index kind for one dataset (the catalog's
-        ``kind="auto"`` path).
+        shapes: Optional[Callable[[], Tuple]] = None,
+        **options,
+    ) -> Tuple[str, Optional[PlanDecision]]:
+        """Resolve ``algorithm="auto"`` for one tree pair.
 
-        Pass the raw ``points`` to have the skew statistic
-        (:func:`~repro.analysis.cost_model.grid_occupancy_cv`)
-        computed, or precomputed ``n`` / ``skew`` when the points are
-        not at hand.  ``mutable`` marks datasets that take live
-        mutation (forces ``dynamic``); ``selectivity`` is the expected
-        query-window workspace fraction, when the workload is known.
+        One tree on both sides (CPQL ``FROM a``, ``query a a``) is the
+        self-join, which only ``self`` answers: nothing is left to
+        plan, and the decision is None.  Otherwise :meth:`plan` picks
+        from the trees' shapes -- ``shapes()`` when given (the service
+        caches them per generation), else measured here.  ``options``
+        are :meth:`plan`'s keywords.
         """
-        if points is not None:
-            n = len(points)
-            if skew is None:
-                skew = grid_occupancy_cv(points)
-        if n is None:
-            raise ValueError("plan_index needs points or n")
-        if skew is None:
-            skew = float("nan")
-        decision = recommend_index_kind(
-            n, skew, mutable=mutable, selectivity=selectivity,
-            skew_threshold=self.grid_skew_threshold,
+        if tree_p is tree_q:
+            return "self", None
+        shape_p, shape_q = (
+            shapes() if shapes is not None
+            else (TreeShape.of(tree_p), TreeShape.of(tree_q))
         )
-        if tracer.enabled:
-            with tracer.span("plan_index") as span:
-                span.annotate(**decision.as_dict())
-        return decision
+        decision = self.plan(shape_p, shape_q, buffer_pages, k, **options)
+        return decision.algorithm, decision
 
     def plan(
         self,
@@ -199,9 +185,11 @@ class Planner:
         workers:
             Worker-thread budget the caller is willing to spend on
             this one query (the service's ``max_query_workers``).  The
-            decision's ``workers`` field is 1 unless the predicted
-            speedup (:func:`estimate_parallel_speedup`) clears
-            ``parallel_speedup_threshold``.
+            decision's ``workers`` field is 1 unless
+            :func:`~repro.analysis.cost_model.estimate_query_ms`,
+            given the shapes' read latency, predicts the budget at
+            least :data:`PARALLEL_SPEEDUP_MARGIN` times faster than
+            serial.
         tracer:
             Optional :class:`repro.obs.Tracer`; when enabled, the
             decision is recorded as a ``plan`` span carrying the full
@@ -215,9 +203,9 @@ class Planner:
             plans choose between the specialized range algorithms by
             estimated window selectivity
             (:func:`~repro.analysis.cost_model.estimate_range_selectivity`):
-            at most ``rcp_selectivity_threshold`` -> ``rcp`` (memoized
-            candidate structure), above it -> ``clipped`` (clipped
-            best-first traversal).
+            at most :data:`RCP_SELECTIVITY_THRESHOLD` -> ``rcp``
+            (memoized candidate structure), above it -> ``clipped``
+            (clipped best-first traversal).
 
         Returns
         -------
@@ -252,8 +240,8 @@ class Planner:
         shape_q: Optional[TreeShape],
         buffer_pages: int,
         k: int,
-        workers: int = 1,
-        range_spec=None,
+        workers: int,
+        range_spec,
     ) -> PlanDecision:
         if shape_p is None or shape_q is None:
             return PlanDecision(
@@ -286,39 +274,23 @@ class Planner:
         # the 1-CP distance; the bound a K-CPQ converges to is d_K.
         reach = distance * math.sqrt(k)
         accesses = estimate_cpq_accesses(shape_p, shape_q, t=reach)
+        selectivity = None
         if range_spec is not None:
-            return self._decide_ranged(
-                shape_p, shape_q, buffer_pages, k, workers,
-                range_spec, distance, accesses,
-            )
-        if accesses <= self.sim_threshold:
-            algorithm = "sim"
-            reason = (
-                f"~{accesses:.0f} predicted accesses <= "
-                f"{self.sim_threshold:g}; pruning pays, ordering "
-                f"does not"
-            )
-        elif buffer_pages >= accesses:
-            algorithm = "std"
-            reason = (
-                f"buffer of {buffer_pages} pages covers the "
-                f"~{accesses:.0f}-access working set; recursive "
-                f"sorted descent re-reads for free"
-            )
+            selectivity = _window_selectivity(shape_p, shape_q, range_spec)
+            algorithm, reason = _ranged_choice(selectivity)
         else:
-            algorithm = "heap"
-            reason = (
-                f"~{accesses:.0f} predicted accesses exceed the "
-                f"{buffer_pages}-page buffer; global best-first "
-                f"order minimises disk I/O"
-            )
-        chosen_workers, speedup = 1, 1.0
-        if workers > 1:
-            speedup = estimate_parallel_speedup(accesses, workers)
-            if speedup >= self.parallel_speedup_threshold:
-                chosen_workers = workers
+            algorithm, reason = _choice(accesses, buffer_pages)
+        granted, speedup = 1, 1.0
+        if workers > 1 and ALGORITHM_REGISTRY[algorithm].supports_parallel:
+            # Each side reads about half the pages.
+            latency = (shape_p.read_latency + shape_q.read_latency) / 2.0
+            speedup = (estimate_query_ms(accesses, latency)
+                       / estimate_query_ms(accesses, latency, workers))
+            if speedup >= PARALLEL_SPEEDUP_MARGIN:
+                granted = workers
                 reason += (
-                    f"; ~{speedup:.1f}x predicted from {workers} workers"
+                    f"; ~{speedup:.1f}x predicted from {workers} workers "
+                    f"overlapping {latency * 1000.0:g} ms page reads"
                 )
             else:
                 speedup = 1.0
@@ -331,67 +303,55 @@ class Planner:
             height_p=height_p,
             height_q=height_q,
             k=k,
-            workers=chosen_workers,
-            estimated_speedup=speedup,
-        )
-
-    def _decide_ranged(
-        self,
-        shape_p: TreeShape,
-        shape_q: TreeShape,
-        buffer_pages: int,
-        k: int,
-        workers: int,
-        range_spec,
-        distance: float,
-        accesses: float,
-    ) -> PlanDecision:
-        """Choose between the specialized range algorithms.
-
-        Selectivity is estimated per constrained side and the largest
-        taken (the side admitting more points dominates the traversal's
-        qualifying population).
-        """
-        sides = []
-        if range_spec.constrains_p:
-            sides.append(estimate_range_selectivity(shape_p, range_spec))
-        if range_spec.constrains_q:
-            sides.append(estimate_range_selectivity(shape_q, range_spec))
-        selectivity = max(sides) if sides else 1.0
-        if selectivity <= self.rcp_selectivity_threshold:
-            algorithm = "rcp"
-            reason = (
-                f"window covers ~{selectivity:.1%} of the workspace "
-                f"(<= {self.rcp_selectivity_threshold:.0%}); small "
-                f"candidate lists memoize well"
-            )
-        else:
-            algorithm = "clipped"
-            reason = (
-                f"window covers ~{selectivity:.1%} of the workspace "
-                f"(> {self.rcp_selectivity_threshold:.0%}); clipped "
-                f"best-first traversal without memoization"
-            )
-        chosen_workers, speedup = 1, 1.0
-        if workers > 1 and ALGORITHM_REGISTRY[algorithm].supports_parallel:
-            speedup = estimate_parallel_speedup(accesses, workers)
-            if speedup >= self.parallel_speedup_threshold:
-                chosen_workers = workers
-                reason += (
-                    f"; ~{speedup:.1f}x predicted from {workers} workers"
-                )
-            else:
-                speedup = 1.0
-        return PlanDecision(
-            algorithm=algorithm,
-            reason=reason,
-            estimated_accesses=accesses,
-            estimated_distance=distance,
-            buffer_pages=buffer_pages,
-            height_p=shape_p.height,
-            height_q=shape_q.height,
-            k=k,
-            workers=chosen_workers,
+            workers=granted,
             estimated_speedup=speedup,
             range_selectivity=selectivity,
         )
+
+
+def _choice(accesses: float, buffer_pages: int) -> Tuple[str, str]:
+    """The unconstrained algorithm and its reason."""
+    if accesses <= SIM_THRESHOLD:
+        return "sim", (
+            f"~{accesses:.0f} predicted accesses <= {SIM_THRESHOLD:g}; "
+            f"pruning pays, ordering does not"
+        )
+    if buffer_pages >= accesses:
+        return "std", (
+            f"buffer of {buffer_pages} pages covers the "
+            f"~{accesses:.0f}-access working set; recursive sorted "
+            f"descent re-reads for free"
+        )
+    return "heap", (
+        f"~{accesses:.0f} predicted accesses exceed the "
+        f"{buffer_pages}-page buffer; global best-first order "
+        f"minimises disk I/O"
+    )
+
+
+def _window_selectivity(shape_p: TreeShape, shape_q: TreeShape,
+                        range_spec) -> float:
+    """Selectivity per constrained side, the largest taken (the side
+    admitting more points dominates the traversal's qualifying
+    population)."""
+    sides = []
+    if range_spec.constrains_p:
+        sides.append(estimate_range_selectivity(shape_p, range_spec))
+    if range_spec.constrains_q:
+        sides.append(estimate_range_selectivity(shape_q, range_spec))
+    return max(sides) if sides else 1.0
+
+
+def _ranged_choice(selectivity: float) -> Tuple[str, str]:
+    """The specialized range algorithm and its reason."""
+    if selectivity <= RCP_SELECTIVITY_THRESHOLD:
+        return "rcp", (
+            f"window covers ~{selectivity:.1%} of the workspace "
+            f"(<= {RCP_SELECTIVITY_THRESHOLD:.0%}); small candidate "
+            f"lists memoize well"
+        )
+    return "clipped", (
+        f"window covers ~{selectivity:.1%} of the workspace "
+        f"(> {RCP_SELECTIVITY_THRESHOLD:.0%}); clipped best-first "
+        f"traversal without memoization"
+    )

@@ -437,6 +437,31 @@ class TestCLI:
         ]
         assert sql_pairs == query_pairs
 
+    def test_one_dataset_on_both_sides_is_the_self_join(self, cli_catalog,
+                                                        capsys):
+        """``query a a`` and ``explain a a`` open one handle, so
+        ``self`` runs and ``auto`` resolves to it."""
+        from repro.cli import main
+
+        def pair_lines(argv):
+            assert main(argv + ["--catalog", str(cli_catalog)]) == 0
+            out = capsys.readouterr().out.split("\n\n")[0]
+            return [line for line in out.splitlines()
+                    if line.strip() and not line.startswith("#")]
+
+        expected = pair_lines([
+            "sql", "SELECT CLOSEST PAIRS K 5 FROM parks USING self"])
+        assert len(expected) == 5
+        for line in expected:
+            rank, p, q, distance = line.strip().split("  ")
+            assert p != q
+        assert pair_lines(["query", "parks", "parks", "--k", "5",
+                           "--algorithm", "self"]) == expected
+        for algorithm in ("self", "auto"):
+            assert pair_lines(["explain", "parks", "parks", "--k", "5",
+                               "--no-times", "--algorithm",
+                               algorithm]) == expected
+
     def test_bad_statement_exits_2_with_caret(self, cli_catalog,
                                               capsys):
         from repro.cli import main

@@ -166,3 +166,21 @@ class TestQueueBehaviour:
         )
         assert stats.disk_accesses > 0
         assert stats.node_pairs_visited > 0
+
+
+class TestRegistryRunner:
+    @pytest.mark.parametrize("algorithm", ["incremental", "heap", "semi"])
+    def test_reports_every_page_the_trees_read(self, algorithm):
+        """The registry's ``incremental`` counts from the query's start,
+        root reads included, like every other runner."""
+        from repro.core.api import CPQRequest, k_closest_pairs
+
+        rng = random.Random(11)
+        tree_p, tree_q = (
+            bulk_load([(rng.random(), rng.random()) for __ in range(3000)])
+            for __ in range(2)
+        )
+        result = k_closest_pairs(tree_p, tree_q, CPQRequest(
+            k=10, algorithm=algorithm, buffer_pages=0))
+        read = tree_p.stats.disk_reads + tree_q.stats.disk_reads
+        assert result.stats.disk_accesses == read > 0

@@ -113,6 +113,15 @@ class TestSharedTreeCountedOnce:
         assert result.stats.disk_accesses == tree.stats.disk_reads > 0
         assert result.stats.buffer_hits == tree.stats.buffer_hits
 
+    def test_shared_tree_gets_the_whole_buffer(self):
+        tree = bulk_load(_points(3000, seed=8))
+        other = bulk_load(_points(3000, seed=9))
+        k_closest_pairs(tree, tree, CPQRequest(
+            k=10, algorithm="self", buffer_pages=16))
+        assert tree.file.buffer.capacity == 16
+        k_closest_pairs(tree, other, CPQRequest(k=10, buffer_pages=16))
+        assert tree.file.buffer.capacity == other.file.buffer.capacity == 8
+
     def test_incremental_join_counts_once(self):
         tree = bulk_load(_points(3000, seed=8))
         tree.file.set_buffer_capacity(8)

@@ -3,6 +3,7 @@ deadlines and admission control."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import threading
 import time
@@ -12,6 +13,7 @@ import pytest
 from repro.analysis.cost_model import TreeShape
 from repro.core import k_closest_pairs
 from repro.core.api import CPQRequest as CoreRequest
+from repro.core.constraints import RangeSpec
 from repro.datasets.workspace import Workspace
 from repro.rtree.bulk import bulk_load
 from repro.service import (
@@ -28,6 +30,8 @@ from repro.service import (
     STATUS_REJECTED,
     cache_key,
 )
+from repro.service.breaker import HALF_OPEN, CircuitBreaker
+from repro.service.planner import SIM_THRESHOLD
 
 UNIT = Workspace(0.0, 0.0, 1.0, 1.0)
 
@@ -68,11 +72,11 @@ class TestPlanner:
         assert ample.algorithm == "std"
 
     def test_small_predicted_workload_uses_sim(self):
-        small = TreeShape.uniform(50, UNIT)
-        planner = Planner(sim_threshold=50.0)
-        decision = planner.plan(small, small, buffer_pages=0)
+        small = TreeShape.uniform(30, UNIT)
+        decision = Planner().plan(small, small, buffer_pages=0)
+        assert small.height > 1
         assert decision.algorithm == "sim"
-        assert decision.estimated_accesses <= 50.0
+        assert decision.estimated_accesses <= SIM_THRESHOLD
 
     def test_height_changes_decision(self):
         """Different tree heights -> different algorithm choice."""
@@ -93,6 +97,45 @@ class TestPlanner:
         one = planner.plan(big, big, 0, k=1)
         many = planner.plan(big, big, 0, k=100)
         assert many.estimated_accesses > one.estimated_accesses
+
+    @pytest.mark.parametrize("n", [30, 1000, 62_536, 500_000])
+    @pytest.mark.parametrize("buffer_pages", [0, 128, 1024])
+    @pytest.mark.parametrize("budget", [2, 4, 64])
+    def test_no_worker_granted_at_read_latency_zero(self, n, buffer_pages,
+                                                   budget):
+        """Threads only overlap page-read waits; with none to hide,
+        they cannot pay."""
+        shape = TreeShape.uniform(n, UNIT)
+        window = RangeSpec.coerce(((0.0, 0.0), (0.5, 0.5)))
+        for k in (1, 100):
+            for range_spec in (None, window):
+                decision = Planner().plan(
+                    shape, shape, buffer_pages, k=k, workers=budget,
+                    range_spec=range_spec,
+                )
+                assert decision.workers == 1
+                assert decision.estimated_speedup == 1.0
+
+    def test_read_latency_earns_the_budget(self):
+        """The kcpq_sequoia shape (62,536 points a side) at 0.1 ms per
+        miss hides enough waits behind two threads."""
+        shape = dataclasses.replace(TreeShape.uniform(62_536, UNIT),
+                                    read_latency=1e-4)
+        decision = Planner().plan(shape, shape, 128, k=100, workers=2)
+        assert decision.workers == 2
+        assert decision.estimated_speedup >= 1.5
+        assert "workers" in decision.reason
+        degraded = Planner().plan(shape, shape, 128, k=100, workers=2,
+                                  degraded=True)
+        assert degraded.workers == 1
+        assert degraded.algorithm == decision.algorithm
+
+    def test_shape_carries_the_file_read_latency(self):
+        tree = bulk_load([(i / 100.0, (i * 7 % 100) / 100.0)
+                          for i in range(100)])
+        assert TreeShape.of(tree).read_latency == 0.0
+        tree.file.read_latency = 2e-4
+        assert TreeShape.of(tree).read_latency == 2e-4
 
     def test_decision_serialises(self):
         decision = Planner().plan(
@@ -273,6 +316,16 @@ class TestMetrics:
 @pytest.fixture(scope="module")
 def service_trees(medium_trees):
     return medium_trees
+
+
+@pytest.fixture(scope="module")
+def latency_trees(medium_trees):
+    """The medium pair rebuilt on files that wait 0.1 ms per miss."""
+    points_p, points_q, __, __ = medium_trees
+    trees = (bulk_load(points_p), bulk_load(points_q))
+    for tree in trees:
+        tree.file.read_latency = 1e-4
+    return trees
 
 
 class TestService:
@@ -488,7 +541,7 @@ class TestAdmissionControl:
 
 
 class TestSubmitBatch:
-    def test_auto_requests_share_one_plan(self, service_trees):
+    def test_auto_requests_each_tally_their_plan(self, service_trees):
         __, __, tree_p, tree_q = service_trees
         with make_service(tree_p, tree_q, workers=2) as service:
             handles = service.submit_batch([
@@ -497,9 +550,6 @@ class TestSubmitBatch:
             ])
             responses = [h.result(timeout=60) for h in handles]
             assert all(r.status == STATUS_OK for r in responses)
-            # One PlanDecision object, shared by the whole batch...
-            assert len({id(r.plan) for r in responses}) == 1
-            # ...but every execution still tallies its applied decision.
             algorithm = responses[0].algorithm
             assert service.metrics.planner_decisions[algorithm] == 6
 
@@ -511,7 +561,36 @@ class TestSubmitBatch:
                 for k in (2, 2, 9, 9)
             ])
             responses = [h.result(timeout=60) for h in handles]
-            assert len({id(r.plan) for r in responses}) == 2
+            assert [r.plan.k for r in responses] == [2, 2, 9, 9]
+
+    def test_degraded_pair_runs_each_auto_request_serially(
+            self, latency_trees):
+        """A breaker that is not closed caps every plan at one worker,
+        batched or not."""
+        tree_p, tree_q = latency_trees
+
+        class StuckHalfOpen(CircuitBreaker):
+            """Reports half-open but admits every request."""
+
+            @property
+            def state(self):
+                return HALF_OPEN
+
+        for factory, granted in ((CircuitBreaker, 2), (StuckHalfOpen, 1)):
+            with make_service(
+                tree_p, tree_q, workers=2, max_query_workers=2,
+                breaker_factory=factory,
+            ) as service:
+                handles = service.submit_batch([
+                    CPQRequest(pair="pair", k=5, use_cache=False)
+                    for __ in range(3)
+                ])
+                responses = [h.result(timeout=60) for h in handles]
+            assert all(r.status == STATUS_OK for r in responses)
+            assert [r.plan.workers for r in responses] == [granted] * 3
+            for response in responses:
+                parallel = response.result.stats.extra.get("parallel")
+                assert (parallel["workers"] if parallel else 1) == granted
 
     def test_explicit_algorithm_not_preplanned(self, service_trees):
         __, __, tree_p, tree_q = service_trees
@@ -561,12 +640,20 @@ class TestIntraQueryParallelism:
             assert response.status == STATUS_OK
             assert "parallel" not in response.result.stats.extra
 
-    def test_auto_workers_decided_by_planner(self, service_trees):
+    def test_auto_workers_decided_by_planner(self, service_trees,
+                                             latency_trees):
         __, __, tree_p, tree_q = service_trees
-        eager = Planner(parallel_speedup_threshold=1.0)
         with make_service(
             tree_p, tree_q, workers=1, max_query_workers=4,
-            planner=eager,
+        ) as service:
+            response = service.execute(CPQRequest(
+                pair="pair", k=5, use_cache=False,
+            ))
+            assert response.status == STATUS_OK
+            assert response.plan.workers == 1
+            assert "parallel" not in response.result.stats.extra
+        with make_service(
+            *latency_trees, workers=1, max_query_workers=4,
         ) as service:
             response = service.execute(CPQRequest(
                 pair="pair", k=5, use_cache=False,
@@ -574,9 +661,8 @@ class TestIntraQueryParallelism:
             assert response.status == STATUS_OK
             assert response.plan.workers == 4
             assert response.plan.estimated_speedup > 1.0
-            if response.algorithm == "heap":
-                parallel = response.result.stats.extra["parallel"]
-                assert parallel["workers"] == 4
+            parallel = response.result.stats.extra["parallel"]
+            assert parallel["workers"] == 4
 
     def test_parallel_result_matches_cached_serial(self, service_trees):
         """workers is execution-only: a parallel run and a serial run

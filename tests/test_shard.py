@@ -11,6 +11,7 @@ processes respawn, and nothing here may leak a half-open probe slot.
 """
 
 import random
+import threading
 
 import pytest
 
@@ -190,6 +191,23 @@ class TestFailureSemantics:
             ShardManager(spec_p, spec_q, shards=0)
         with pytest.raises(ValueError, match="on_failure"):
             ShardManager(spec_p, spec_q, on_failure="retry")
+
+
+class TestTeardown:
+    def test_close_joins_the_queue_feeder_threads(self, clustered):
+        """A feeder thread left running releases its queue's semaphores
+        after the caller may have stopped the resource tracker."""
+        spec_p, spec_q, serial = clustered
+        before = set(threading.enumerate())
+        manager = ShardManager(spec_p, spec_q, shards=2)
+        try:
+            result = manager.execute(CPQRequest(k=10, algorithm="heap"))
+            assert result.pairs == serial["heap"].pairs
+        finally:
+            manager.close()
+        leftover = [thread.name for thread in threading.enumerate()
+                    if thread not in before and thread.is_alive()]
+        assert "QueueFeederThread" not in leftover
 
 
 class TestServiceIntegration:
