@@ -57,10 +57,8 @@ def test_steady_state_workload(benchmark):
                     if not warm:
                         tree_p.file.reset_for_query()
                     # reset_stats=False keeps P's buffer warm across
-                    # the stream; per-query cost is the P-side delta
-                    # plus Q's (freshly reset) counter.
-                    before_p = tree_p.stats.disk_reads
-                    k_closest_pairs(
+                    # the stream; the result counts this query's reads.
+                    result = k_closest_pairs(
                         tree_p,
                         tree_q,
                         request=CPQRequest(
@@ -69,10 +67,7 @@ def test_steady_state_workload(benchmark):
                             reset_stats=False,
                         ),
                     )
-                    total += (
-                        tree_p.stats.disk_reads - before_p
-                        + tree_q.stats.disk_reads
-                    )
+                    total += result.stats.disk_accesses
                 table.add(
                     buffer_pages,
                     "warm" if warm else "cold",

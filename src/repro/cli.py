@@ -483,8 +483,6 @@ def cmd_join(args: argparse.Namespace) -> int:
     from repro.storage.stats import QueryStats
 
     tree_p, tree_q = _open_pair(args, warn_paths=False)
-    tree_p.file.reset_for_query()
-    tree_q.file.reset_for_query()
     stats = QueryStats()
     pairs = distance_range_join(tree_p, tree_q, args.epsilon, stats=stats)
     limit = args.limit if args.limit is not None else len(pairs)

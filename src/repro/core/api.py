@@ -62,6 +62,7 @@ from repro.core.sorted_distances import sorted_distances
 from repro.core.ties import TieBreak
 from repro.geometry.minkowski import EUCLIDEAN, MinkowskiMetric
 from repro.rtree.tree import RTree
+from repro.storage.paged_file import split_buffer
 
 
 # DeadlineExceeded now lives in the unified repro.errors taxonomy; the
@@ -176,27 +177,27 @@ def _run_self(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
 
 
 def _run_semi(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
-    from repro.extensions.semi_cpq import semi_closest_pairs
+    from repro.extensions.semi_cpq import NAME, semi_pairs
 
-    with traced_traversal(ctx, "SEMI"):
-        return semi_closest_pairs(
-            ctx.tree_p, ctx.tree_q, request.metric, reset_stats=False,
-            cancel_check=ctx.cancel_check, stats=ctx.stats,
-        )
+    with traced_traversal(ctx, NAME):
+        pairs = semi_pairs(ctx.tree_p, ctx.tree_q, request.metric,
+                           ctx.stats, ctx.cancel_check)
+    ctx.settle_io()
+    return CPQResult(pairs=sorted(pairs), stats=ctx.stats, algorithm=NAME,
+                     k=len(pairs))
 
 
 def _run_incremental(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
     from repro.incremental.distance_join import incremental_distance_join
 
-    # The join counts I/O from its own start; the context's root reads
-    # came before it.
-    ctx.stats.merge_io(ctx.tree_p.stats, ctx.tree_q.stats)
     with traced_traversal(ctx, "INC"):
         pairs = list(incremental_distance_join(
             ctx.tree_p, ctx.tree_q, metric=request.metric,
             k_bound=request.k, stats=ctx.stats,
             cancel_check=ctx.cancel_check,
         ))
+    # The join's own ledger opened after the context's root reads.
+    ctx.settle_io()
     return CPQResult(pairs=pairs, stats=ctx.stats, algorithm="INC-SML",
                      k=request.k)
 
@@ -356,6 +357,10 @@ class CPQRequest:
     request describes *what* to compute, plus the ``deadline_ms`` /
     ``trace`` conveniences for callers without a service around them.
 
+    ``reset_stats`` only cold-starts the trees (empty buffers, zeroed
+    lifetime counters): the result's I/O figures are this query's
+    delta either way.  The service turns it off to keep buffers warm.
+
     ``workers`` > 1 routes algorithms with ``supports_parallel``
     through the partitioned executor (:mod:`repro.core.parallel`):
     ``partition_depth`` levels of root expansion feed ``workers``
@@ -493,17 +498,14 @@ def k_closest_pairs(
     CPQResult
         Pairs sorted by ascending distance plus cost statistics:
         ``stats.disk_accesses`` (the paper's Figures 4-10 metric, in
-        node reads that missed the buffer), ``buffer_hits``,
+        this query's node reads that missed the buffer), ``buffer_hits``,
         ``distance_computations``, ``node_pairs_visited``,
         ``max_queue_size`` and ``queue_inserts`` (Section 3.9).
     """
     if request is None:
         request = CPQRequest()
     if request.buffer_pages is not None:
-        # Half the pages per tree; a file serving both sides gets all.
-        share = 1 if tree_p.file is tree_q.file else 2
-        tree_p.file.set_buffer_capacity(request.buffer_pages // share)
-        tree_q.file.set_buffer_capacity(request.buffer_pages // share)
+        split_buffer(tree_p.file, tree_q.file, request.buffer_pages)
     if request.reset_stats:
         tree_p.file.reset_for_query()
         tree_q.file.reset_for_query()

@@ -154,12 +154,6 @@ class CPQContext:
         #: :func:`traced_traversal`); counters go through
         #: :meth:`trace_add`.
         self.trace_span: Optional[Span] = None
-        if self.tracer.enabled:
-            # Baselines for the per-tree I/O delta spans, captured
-            # *before* the root reads below so they are attributed too.
-            self._trace_io_base = [
-                tree.stats.snapshot() for __, tree in self.io_sides
-            ]
         self.kheap = KHeap(k)
         #: Minimum node occupancy of each tree (Section 3.8 counts).
         self.min_entries = (tree_p.min_entries, tree_q.min_entries)
@@ -167,6 +161,11 @@ class CPQContext:
         #: MINMAXDIST / MAXMAXDIST (independent of the K-heap content).
         self.bound = math.inf
         self.stats = QueryStats()
+        #: The query's I/O ledger (:meth:`QueryStats.count_io`) over
+        #: ``io_sides``, opened *before* the root reads below.
+        self.settle_io = self.stats.count_io(
+            *(tree.stats for __, tree in self.io_sides)
+        )
         # Read each root exactly once; algorithms reuse these handles so
         # context construction plus execution costs two root I/Os total.
         # ``roots`` lets the parallel executor point worker contexts at
@@ -243,7 +242,7 @@ class CPQContext:
             CPQContext.offer(self, entry_a, entry_b, distance)
 
     def result(self, algorithm: str) -> CPQResult:
-        self.stats.merge_io(self.tree_p.stats, self.tree_q.stats)
+        self.settle_io()
         return CPQResult(
             pairs=self.kheap.sorted_pairs(),
             stats=self.stats,
@@ -261,7 +260,7 @@ def _finish_io_span(tracer, label: str, io, collector,
     """Attach one ``io.<label>`` leaf carrying the tree's I/O delta.
 
     ``disk_reads`` / ``buffer_hits`` come from ``io``, the tree's
-    :class:`~repro.storage.stats.IOStats` delta across the traversal
+    :class:`~repro.storage.stats.IOStats` delta in the query's ledger
     (exact when the query has the trees to itself); ``observed_*`` and
     ``distinct_pages`` come from the buffer observer and are exact for
     this thread even under concurrency.  ``timed`` marks the counters
@@ -326,9 +325,8 @@ def traced_traversal(ctx: CPQContext, algorithm: str, *,
                     node_pairs_visited=ctx.stats.node_pairs_visited,
                     distance_computations=ctx.stats.distance_computations,
                 )
-                for (label, tree), base in zip(sides, ctx._trace_io_base):
-                    _finish_io_span(tracer, "io." + label,
-                                    tree.stats.since(base),
+                for (label, __), io in zip(sides, ctx.settle_io()):
+                    _finish_io_span(tracer, "io." + label, io,
                                     collectors[label], timed)
     finally:
         # Without this, repeated queries on the same trees leak the

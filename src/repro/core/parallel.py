@@ -109,7 +109,8 @@ class WorkerReport:
     pairs: List[ClosestPair] = field(default_factory=list)
     tasks_completed: int = 0
     publishes: int = 0
-    #: :meth:`~repro.storage.stats.QueryStats.traversal_counters`.
+    #: :meth:`~repro.storage.stats.QueryStats.traversal_counters`
+    #: (I/O is the coordinator's ledger: workers share the trees).
     counters: Dict[str, int] = field(default_factory=dict)
     wall_ms: float = 0.0
 
@@ -300,8 +301,6 @@ def _thread_worker(
         raise
     report.wall_ms = (time.perf_counter() - start) * 1000.0
     report.pairs = wctx.kheap.sorted_pairs()
-    # I/O fields of wctx.stats are garbage (each runner call re-merges
-    # the shared tree counters); the traversal counters are exact.
     report.counters = wctx.stats.traversal_counters()
     return report
 

@@ -36,7 +36,6 @@ def run_cpq(
         height_strategy=height_strategy,
         tie_break=TieBreak.parse(tie_break) if tie_break is not None else None,
         buffer_pages=buffer_pages,
-        reset_stats=True,
         workers=workers,
     )
     return k_closest_pairs(tree_p, tree_q, request=request)
@@ -56,5 +55,4 @@ def run_incremental(
         k=k,
         policy=policy,
         buffer_pages=buffer_pages,
-        reset_stats=True,
     )

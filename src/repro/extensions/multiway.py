@@ -135,10 +135,10 @@ def multiway_closest_tuples(
     k: int = 1,
     graph: str = "chain",
     metric: MinkowskiMetric = EUCLIDEAN,
-    *,
-    reset_stats: bool = True,
 ) -> MultiwayResult:
     """Find the K tuples with the smallest aggregate distance.
+
+    Cold-starts every tree; ``result.stats`` counts this call's reads.
 
     Parameters
     ----------
@@ -159,11 +159,10 @@ def multiway_closest_tuples(
     for tree in trees[1:]:
         if tree.dimension != dimension:
             raise ValueError("all trees must index the same dimension")
-    if reset_stats:
-        for tree in trees:
-            tree.file.reset_for_query()
-
+    for tree in trees:
+        tree.file.reset_for_query()
     stats = QueryStats()
+    settle_io = stats.count_io(*(tree.stats for tree in trees))
     result = MultiwayResult(stats=stats, graph=graph, k=k)
     if any(tree.root_id is None for tree in trees):
         return result
@@ -256,7 +255,7 @@ def multiway_closest_tuples(
         process(nodes)
 
     result.tuples = sorted(t for __, __, t in best)
-    stats.merge_io(*(tree.stats for tree in trees))
+    settle_io()
     return result
 
 

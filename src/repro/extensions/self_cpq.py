@@ -29,10 +29,8 @@ def self_k_closest_pairs(
     tree: RTree,
     k: int = 1,
     metric: MinkowskiMetric = EUCLIDEAN,
-    *,
-    reset_stats: bool = True,
 ) -> CPQResult:
     """The K closest pairs of distinct points of one indexed set."""
     return k_closest_pairs(tree, tree, CPQRequest(
-        k=k, algorithm="self", metric=metric, reset_stats=reset_stats,
+        k=k, algorithm="self", metric=metric,
     ))

@@ -40,38 +40,44 @@ def semi_closest_pairs(
     metric: MinkowskiMetric = EUCLIDEAN,
     *,
     sort_result: bool = True,
-    reset_stats: bool = True,
     cancel_check: Optional[Callable[[], None]] = None,
     stats: Optional[QueryStats] = None,
 ) -> CPQResult:
-    """For every point of P, its nearest point of Q.
+    """For every point of P, its nearest point of Q, on cold trees.
 
     Returns one pair per P point, sorted by ascending distance when
     ``sort_result`` (the natural presentation for a Semi-CPQ report).
     ``cancel_check`` is called once per popped node of Q and aborts
-    the query by raising; counters accumulate into ``stats`` when
-    given.
+    the query by raising; counters go into ``stats`` when given.
     """
-    if reset_stats:
-        tree_p.file.reset_for_query()
-        tree_q.file.reset_for_query()
+    tree_p.file.reset_for_query()
+    tree_q.file.reset_for_query()
     if stats is None:
         stats = QueryStats()
-    result = CPQResult(stats=stats, algorithm=NAME, k=0)
-    if tree_p.root_id is None or tree_q.root_id is None:
-        return result
+    settle_io = stats.count_io(tree_p.stats, tree_q.stats)
+    pairs = semi_pairs(tree_p, tree_q, metric, stats, cancel_check)
+    settle_io()
+    if sort_result:
+        pairs.sort()
+    return CPQResult(pairs=pairs, stats=stats, algorithm=NAME, k=len(pairs))
 
+
+def semi_pairs(
+    tree_p: RTree,
+    tree_q: RTree,
+    metric: MinkowskiMetric,
+    stats: QueryStats,
+    cancel_check: Optional[Callable[[], None]] = None,
+) -> List[ClosestPair]:
+    """One nearest pair per P point, unsorted, read through the buffers
+    as they are; traversal counters go into ``stats``."""
+    if tree_p.root_id is None or tree_q.root_id is None:
+        return []
     pairs: List[ClosestPair] = []
     for leaf in _iter_leaves(tree_p):
         pairs.extend(_leaf_batch_nn(tree_q, leaf, metric, stats,
                                     cancel_check))
-
-    result.k = len(pairs)
-    if sort_result:
-        pairs.sort()
-    result.pairs = pairs
-    stats.merge_io(tree_p.stats, tree_q.stats)
-    return result
+    return pairs
 
 
 def _iter_leaves(tree: RTree):

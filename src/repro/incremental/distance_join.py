@@ -40,7 +40,8 @@ from repro.incremental.pairs import (
 )
 from repro.rtree.node import Node
 from repro.rtree.tree import RTree
-from repro.storage.stats import QueryStats, distinct_counters
+from repro.storage.paged_file import split_buffer
+from repro.storage.stats import QueryStats
 
 #: Traversal policies: which side(s) of a node/node pair to expand.
 BASIC = "bas"
@@ -87,18 +88,9 @@ def incremental_distance_join(
     if tree_p.root_id is None or tree_q.root_id is None:
         return
 
-    # I/O is accounted as deltas against snapshots taken at generator
-    # start, so iterating never mutates the trees' own counters --
-    # essential when the trees are shared with concurrent queries (the
-    # service engine attributes I/O per query from the same counters).
-    counters = distinct_counters(tree_p.stats, tree_q.stats)
-    bases = [counter.snapshot() for counter in counters]
-
-    def _sync() -> None:
-        for i, counter in enumerate(counters):
-            stats.merge_io(counter.since(bases[i]))
-            bases[i] = counter.snapshot()
-
+    # I/O is this join's delta from generator start; the trees' own
+    # counters are never touched (they may serve concurrent queries).
+    settle_io = stats.count_io(tree_p.stats, tree_q.stats)
     tie_sign = 1 if tie_policy == DEPTH_FIRST else -1
     bound_heap = KHeap(k_bound) if k_bound is not None else None
     # Queue items: (distance, tie value, sequence, side_p, side_q).
@@ -190,7 +182,7 @@ def incremental_distance_join(
         if distance > threshold():
             break
         if is_object(side_p) and is_object(side_q):
-            _sync()
+            settle_io()
             yield ClosestPair(
                 distance, side_p.point, side_q.point,
                 side_p.oid, side_q.oid,
@@ -200,7 +192,7 @@ def incremental_distance_join(
                 return
             continue
         expand(side_p, side_q)
-    _sync()
+    settle_io()
 
 
 def k_distance_join(
@@ -212,21 +204,18 @@ def k_distance_join(
     metric: MinkowskiMetric = EUCLIDEAN,
     *,
     buffer_pages: Optional[int] = None,
-    reset_stats: bool = True,
 ) -> CPQResult:
     """Materialise the K closest pairs via the incremental join.
 
-    Mirrors :func:`repro.core.api.k_closest_pairs` so the two families
-    are directly comparable (Figure 10).
+    Mirrors :func:`repro.core.api.k_closest_pairs` (buffer split, cold
+    start) so the two families are directly comparable (Figure 10).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if buffer_pages is not None:
-        tree_p.file.set_buffer_capacity(buffer_pages // 2)
-        tree_q.file.set_buffer_capacity(buffer_pages // 2)
-    if reset_stats:
-        tree_p.file.reset_for_query()
-        tree_q.file.reset_for_query()
+        split_buffer(tree_p.file, tree_q.file, buffer_pages)
+    tree_p.file.reset_for_query()
+    tree_q.file.reset_for_query()
     stats = QueryStats()
     pairs = list(
         incremental_distance_join(

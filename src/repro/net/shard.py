@@ -123,8 +123,6 @@ _MAX_RESPAWN_BACKOFF_S = 5.0
 def _worker_query(tree_p: RTree, tree_q: RTree, request, tasks,
                   initial_bound) -> dict:
     """Execute one chunk of partition tasks; returns the reply payload."""
-    before_p = tree_p.stats.snapshot()
-    before_q = tree_q.stats.snapshot()
     try:
         ctx = CPQContext.for_request(tree_p, tree_q, request)
         ctx.bound = initial_bound
@@ -133,15 +131,14 @@ def _worker_query(tree_p: RTree, tree_q: RTree, request, tasks,
                 time.monotonic() + request.deadline_ms / 1000.0
             )
         completed = run_chunk(ctx, request, tasks)
-        io = tree_p.stats.since(before_p)
-        io.add(tree_q.stats.since(before_q))
+        ctx.settle_io()
         return {
             "ok": True,
             "pairs": ctx.kheap.sorted_pairs(),
             "tasks_completed": completed,
             **ctx.stats.traversal_counters(),
-            "disk_reads": io.disk_reads,
-            "buffer_hits": io.buffer_hits,
+            "disk_reads": ctx.stats.disk_accesses,
+            "buffer_hits": ctx.stats.buffer_hits,
         }
     except BaseException as exc:  # noqa: BLE001 -- report, don't die
         return {
@@ -497,18 +494,19 @@ class ShardManager:
         shard.probe_misses = 0
         shard.generations = None
 
-    def _respawn(self, shard: _Shard) -> bool:
+    def _respawn(self, shard: _Shard, force: bool = False) -> bool:
         """Restart a dead shard under capped backoff; True when alive.
 
         A process that died quickly after its last spawn doubles the
         shard's backoff (bounded) so a crash-looping shard cannot eat
-        the coordinator; a longer life resets the ladder.
+        the coordinator; a longer life resets the ladder.  ``force``
+        skips a pending backoff (a reload must land now).
         """
         with self._lock:
             if shard.alive:
                 return True
             now = time.monotonic()
-            if now < shard.next_spawn_at:
+            if now < shard.next_spawn_at and not force:
                 return False  # still backing off
             lived = now - shard.spawned_at
             if shard.respawns and lived < _QUICK_DEATH_S:
@@ -698,7 +696,7 @@ class ShardManager:
         respawned: List[int] = []
         for shard in self._shards:
             if not shard.alive:
-                if self._respawn(shard):
+                if self._respawn(shard, force=True):
                     respawned.append(shard.shard_id)
                 continue
             ctl_id = next(self._ctl_ids)
@@ -735,7 +733,7 @@ class ShardManager:
                 if process is not None:
                     process.kill()
                     process.join(1.0)
-                if self._respawn(shard):
+                if self._respawn(shard, force=True):
                     respawned.append(shard_id)
         self._count("reloads")
         return {
@@ -822,7 +820,7 @@ class ShardManager:
             return ctx.result(spec.label)
         with traced_traversal(ctx, spec.label, sharded=True) as span:
             tasks = partition_tasks(ctx, request)
-            self._scatter_gather(ctx, request, tasks)
+            shard_io = self._scatter_gather(ctx, request, tasks)
             if span is not None:
                 net = ctx.stats.extra.get("net", {})
                 span.annotate(
@@ -831,11 +829,17 @@ class ShardManager:
                     net_hedge_wins=net.get("hedge_wins", 0),
                     net_frame_errors=net.get("frame_errors", 0),
                 )
-        return ctx.result(spec.label)
+        result = ctx.result(spec.label)
+        # The shards' reads, once, on top of the coordinator's ledger.
+        result.stats.disk_accesses += shard_io["disk_reads"]
+        result.stats.buffer_hits += shard_io["buffer_hits"]
+        return result
 
     def _scatter_gather(self, ctx: CPQContext, request,
-                        tasks: List[PartitionTask]) -> None:
+                        tasks: List[PartitionTask]) -> Dict[str, int]:
+        """Run ``tasks`` into ``ctx``; returns the shards' I/O."""
         initial_bound = ctx.bound
+        shard_io = {"disk_reads": 0, "buffer_hits": 0}
         net: Dict[str, Any] = {
             "shards": 0,
             "tasks": len(tasks),
@@ -852,7 +856,7 @@ class ShardManager:
         if not tasks:
             # Nothing to scatter: decided before consulting breakers,
             # so no half-open probe slot is ever taken and leaked.
-            return
+            return shard_io
         # Chunks travel as picklable (page_p, page_q, minmin) triples.
         pages = [(t.node_p.page_id, t.node_q.page_id, t.minmin)
                  for t in tasks]
@@ -864,7 +868,7 @@ class ShardManager:
             # frontier (exact, flagged).
             net["local_fallback"] = True
             run_chunk(ctx, request, pages)
-            return
+            return shard_io
 
         n = len(participants)
         chunks = [_Chunk(i, pages[i::n]) for i in range(n)]
@@ -911,7 +915,6 @@ class ShardManager:
                     attempt.shard.breaker.release_probe()
 
         net["failed_shards"] = sorted(failed_shards)
-        shard_io = {"disk_reads": 0, "buffer_hits": 0}
         undelivered: List[_Chunk] = []
         for chunk in chunks:
             payload = chunk.payload
@@ -926,10 +929,6 @@ class ShardManager:
             ctx.stats.fold_traversal(payload)
             shard_io["disk_reads"] += payload["disk_reads"]
             shard_io["buffer_hits"] += payload["buffer_hits"]
-        # Shards count their own I/O; fold it into the query's stats
-        # (the coordinator's tree counters only saw partitioning).
-        ctx.stats.disk_accesses += shard_io["disk_reads"]
-        ctx.stats.buffer_hits += shard_io["buffer_hits"]
         net["shard_io"] = shard_io
 
         if undelivered:
@@ -941,6 +940,7 @@ class ShardManager:
                     net["recovered_chunks"] += 1
             else:
                 net["partial"] = True
+        return shard_io
 
     def _dispatch_attempt(self, req_id: int, request, chunk: _Chunk,
                           shard: _Shard, deadline: float, hedge: bool,

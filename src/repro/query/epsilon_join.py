@@ -36,8 +36,8 @@ def distance_range_join(
     """All pairs ``(p, q)`` with ``dist(p, q) <= epsilon``.
 
     Returns pairs sorted by ascending distance.  Pass ``stats`` to
-    collect I/O counters (node reads are routed through the trees'
-    buffers as usual).
+    collect counters; its I/O fields are set to this call's reads
+    (node reads go through the trees' buffers as they are).
     """
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
@@ -48,6 +48,7 @@ def distance_range_join(
         return results
     if stats is None:
         stats = QueryStats()
+    settle_io = stats.count_io(tree_p.stats, tree_q.stats)
 
     def visit(node_p: Node, node_q: Node) -> None:
         stats.node_pairs_visited += 1
@@ -111,6 +112,6 @@ def distance_range_join(
     root_p = tree_p.read_node(tree_p.root_id)
     root_q = tree_q.read_node(tree_q.root_id)
     visit(root_p, root_q)
-    stats.merge_io(tree_p.stats, tree_q.stats)
+    settle_io()
     results.sort()
     return results

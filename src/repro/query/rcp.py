@@ -228,6 +228,9 @@ def rcp_k_closest_pairs(ctx: CPQContext, request) -> CPQResult:
             range_spec=request.range,
             color_spec=request.colors,
         )
+        # One ledger per query: the inner traversal's io.* leaves
+        # count from the query's start, root reads included.
+        inner.settle_io = ctx.settle_io
         heap_algorithm(
             inner,
             height_strategy=request.height_strategy,

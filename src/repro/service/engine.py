@@ -78,7 +78,7 @@ from repro.service.breaker import CLOSED, CircuitBreaker
 from repro.service.cache import ResultCache, cache_key
 from repro.service.metrics import ServiceMetrics
 from repro.service.planner import PlanDecision, Planner
-from repro.storage.stats import IOStats, distinct_counters
+from repro.storage.stats import IOStats, QueryStats
 
 STATUS_OK = "ok"
 STATUS_REJECTED = "rejected"
@@ -170,9 +170,8 @@ class CPQRequest:
 
         ``algorithm`` substitutes the planner's choice for ``"auto"``;
         ``workers`` the resolved intra-query worker count for the
-        ``0`` = auto default.  ``reset_stats`` is always off: the
-        service accounts I/O itself and keeps buffers warm across
-        requests.
+        ``0`` = auto default.  ``reset_stats`` is always off, so
+        buffers stay warm across requests.
         """
         if workers is None:
             workers = max(1, self.workers)
@@ -909,8 +908,8 @@ class QueryService:
                        f"and no stale result available"),
             )
 
-        counters = distinct_counters(pair.tree_p.stats, pair.tree_q.stats)
-        before = [counter.snapshot() for counter in counters]
+        settle_io = QueryStats().count_io(pair.tree_p.stats,
+                                          pair.tree_q.stats)
         try:
             if request.kind == "cpq":
                 result, algorithm, plan = self._run_cpq(
@@ -941,8 +940,8 @@ class QueryService:
             raise
         pair.breaker.record_success()
         io = IOStats()
-        for counter, base in zip(counters, before):
-            io.add(counter.since(base))
+        for delta in settle_io():
+            io.add(delta)
         # A sharded execution that lost shards and could not recover
         # their partitions flags the result partial; such a result is
         # *not* cached (it is not the true answer for the key).

@@ -86,8 +86,15 @@ class PagedFile:
         """Reconfigure the LRU buffer (used by the buffer-size sweeps)."""
         self.buffer.resize(capacity)
 
-    def reset_for_query(self, clear_buffer: bool = True) -> None:
-        """Zero the counters (and optionally cold-start the buffer)."""
+    def reset_for_query(self) -> None:
+        """Zero the counters and cold-start the buffer."""
         self.stats.reset()
-        if clear_buffer:
-            self.buffer.clear()
+        self.buffer.clear()
+
+
+def split_buffer(file_p: PagedFile, file_q: PagedFile, pages: int) -> None:
+    """Split a two-tree query's buffer budget: half the pages per
+    file, or all of them when one file serves both sides."""
+    share = 1 if file_p is file_q else 2
+    file_p.set_buffer_capacity(pages // share)
+    file_q.set_buffer_capacity(pages // share)

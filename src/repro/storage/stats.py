@@ -2,14 +2,14 @@
 
 Every experiment in the paper reports *disk accesses*: node reads that
 miss the LRU buffer.  :class:`IOStats` is the single mutable counter
-object threaded through a tree's storage stack; experiments snapshot
-and reset it between queries.
+object threaded through a tree's storage stack, counting for its
+lifetime; a query's figures are :meth:`QueryStats.count_io` deltas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Mapping
+from typing import Callable, Dict, List, Mapping
 
 
 @dataclass
@@ -77,12 +77,6 @@ class IOStats:
         self.corrupt_reads += other.corrupt_reads
 
 
-def distinct_counters(*counters: IOStats) -> List[IOStats]:
-    """``counters`` without repeats of one object: a tree serving both
-    sides of a query (a self-join) has its I/O counted once."""
-    return list({id(counter): counter for counter in counters}.values())
-
-
 @dataclass
 class QueryStats:
     """Aggregate statistics for one CPQ execution across both trees.
@@ -124,9 +118,18 @@ class QueryStats:
         self.max_queue_size = max(self.max_queue_size,
                                   counters["max_queue_size"])
 
-    def merge_io(self, *stats: IOStats) -> None:
-        """Add per-tree I/O counters into the aggregate, each distinct
-        counter once (:func:`distinct_counters`)."""
-        for s in distinct_counters(*stats):
-            self.disk_accesses += s.disk_reads
-            self.buffer_hits += s.buffer_hits
+    def count_io(self, *counters: IOStats) -> Callable[[], List[IOStats]]:
+        """Open this query's I/O ledger on the distinct ``counters``
+        (one tree on both sides counts once): the returned function
+        sets ``disk_accesses`` / ``buffer_hits`` to the reads since now
+        and returns each counter's delta, counting nothing twice."""
+        distinct = {id(counter): counter for counter in counters}
+        bases = [(c, c.snapshot()) for c in distinct.values()]
+
+        def settle() -> List[IOStats]:
+            deltas = [counter.since(base) for counter, base in bases]
+            self.disk_accesses = sum(d.disk_reads for d in deltas)
+            self.buffer_hits = sum(d.buffer_hits for d in deltas)
+            return deltas
+
+        return settle

@@ -116,12 +116,18 @@ class TestIOStats:
             11, 22, 33,
         )
 
-    def test_query_stats_merge(self):
+    def test_query_stats_count_io(self):
+        p = IOStats(buffer_hits=5, disk_reads=7)
+        q = IOStats(buffer_hits=1, disk_reads=2)
         qs = QueryStats()
-        qs.merge_io(IOStats(buffer_hits=5, disk_reads=7))
-        qs.merge_io(IOStats(buffer_hits=1, disk_reads=2))
-        assert qs.disk_accesses == 9
-        assert qs.buffer_hits == 6
+        settle = qs.count_io(p, q, p)
+        p.add(IOStats(buffer_hits=3, disk_reads=4))
+        q.disk_reads += 1
+        deltas = settle()
+        assert [d.disk_reads for d in deltas] == [4, 1]  # p counted once
+        settle()  # settling again counts nothing twice
+        assert qs.disk_accesses == 5
+        assert qs.buffer_hits == 3
 
 
 class TestPagedFile:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro import bulk_load, k_closest_pairs
-from repro.core.api import CPQRequest
+from repro.core.api import ALGORITHM_REGISTRY, CPQRequest
 from repro.cli import main
 from repro.datasets.io import save_points
 from repro.obs import (
@@ -149,6 +149,36 @@ class TestTracedQuery:
         )
         assert leaf_reads == result.stats.disk_accesses
         assert leaf_hits == result.stats.buffer_hits
+
+    @pytest.mark.parametrize("algorithm", list(ALGORITHM_REGISTRY))
+    def test_io_leaves_equal_disk_accesses_for_every_algorithm(
+        self, trees, algorithm
+    ):
+        """Serially, every registered algorithm's ``io.*`` leaves hold
+        its whole ``stats.disk_accesses``, on warm trees whose
+        counters already hold earlier reads."""
+        tree_p, tree_q = trees
+        if algorithm == "self":
+            tree_q = tree_p
+        k_closest_pairs(tree_p, tree_q, request=CPQRequest(k=3))
+        tracer = Tracer()
+        result = k_closest_pairs(
+            tree_p, tree_q,
+            request=CPQRequest(
+                k=3, algorithm=algorithm, reset_stats=False,
+                range=((0.1, 0.1), (0.9, 0.8)) if algorithm == "rcp"
+                else None,
+            ),
+            tracer=tracer,
+        )
+        (trace,) = tracer.pop_traces()
+        leaves = [span for span in trace.leaves()
+                  if span.name.startswith("io.")]
+        assert leaves
+        assert (sum(span.attrs["disk_reads"] for span in leaves)
+                == result.stats.disk_accesses)
+        assert (sum(span.attrs["buffer_hits"] for span in leaves)
+                == result.stats.buffer_hits)
 
     def test_observer_counts_vs_iostats_delta(self, trees):
         """The buffer observer's raw per-read counts agree with the

@@ -102,10 +102,23 @@ class TestShardParity:
     def test_shard_io_accounted(self, clustered):
         spec_p, spec_q, serial = clustered
         with ShardManager(spec_p, spec_q, shards=2) as manager:
-            result = manager.execute(CPQRequest(k=10, algorithm="heap"))
-            net = result.stats.extra["net"]
-            assert net["tasks"] > 0
+            for __ in range(2):
+                before = _coordinator_reads(manager)
+                result = manager.execute(CPQRequest(k=10, algorithm="heap"))
+                net = result.stats.extra["net"]
+                assert net["tasks"] > 0
+                # The answer's figure: what the coordinator's trees read
+                # for this query plus what the shards read.
+                assert result.stats.disk_accesses == (
+                    _coordinator_reads(manager) - before
+                    + net["shard_io"]["disk_reads"]
+                )
             assert net["shard_io"]["disk_reads"] > 0
+
+
+def _coordinator_reads(manager):
+    return (manager.tree_p.stats.disk_reads
+            + manager.tree_q.stats.disk_reads)
 
 
 class TestFailureSemantics:
@@ -130,6 +143,10 @@ class TestFailureSemantics:
             assert net["failed_shards"] == [0, 1]
             assert net["recovered_chunks"] == 2
             assert net["partial"] is False
+            assert result.stats.disk_accesses == (
+                _coordinator_reads(manager)
+                + net["shard_io"]["disk_reads"]
+            ) > 0
             # Recovery is exact: coordinator re-ran the lost chunks.
             assert result.pairs == serial["heap"].pairs
             health = manager.health()
@@ -167,12 +184,18 @@ class TestFailureSemantics:
             for shard in manager._shards:
                 shard.breaker.record_failure()
             assert all(e["breaker"] == "open" for e in manager.health())
-            result = manager.execute(CPQRequest(k=10, algorithm="sim"))
-            net = result.stats.extra["net"]
-            assert net["shards"] == 0
-            assert net["local_fallback"] is True
-            # Exact answer, no shard involved at all.
-            assert result.pairs == serial["sim"].pairs
+            for __ in range(2):
+                before = _coordinator_reads(manager)
+                result = manager.execute(
+                    CPQRequest(k=10, algorithm="sim"))
+                net = result.stats.extra["net"]
+                assert net["shards"] == 0
+                assert net["local_fallback"] is True
+                # Exact answer, no shard involved at all; the figure is
+                # what the coordinator's trees read for this query.
+                assert result.pairs == serial["sim"].pairs
+                assert (result.stats.disk_accesses
+                        == _coordinator_reads(manager) - before)
 
     def test_requires_file_backed_trees(self):
         tree = bulk_load([(0.0, 0.0), (1.0, 1.0)])
