@@ -23,9 +23,10 @@ bitwise with one per-pair call per leaf pair.
 
 Exit status is the CI gate: nonzero when any kernel's speedup falls
 below ``--min-speedup`` (default 1.0, i.e. "vectorised must not be
-slower").  Results feed the ``KERNEL_NS_PER_PAIR`` calibration table
-in :mod:`repro.analysis.cost_model`; re-run with ``--json`` after
-kernel changes and update the constants from the printed ns/pair.
+slower").  The printed ns/pair is a measurement only: no cost-model
+table reads it (the planner's one CPU price is
+``repro.analysis.cost_model.CPU_MS_PER_NODE_PAIR``, calibrated per
+visited node pair).
 
 Usage::
 

@@ -76,7 +76,10 @@ def measure_qps(tree_p, tree_q, requests, workers: int) -> float:
     service.register_pair("bench", tree_p, tree_q)
     try:
         start = time.perf_counter()
-        responses = service.run_batch(requests)
+        # Admit the whole batch before awaiting any response, so it
+        # runs at full pool width.
+        handles = [service.submit(request) for request in requests]
+        responses = [handle.result() for handle in handles]
         elapsed = time.perf_counter() - start
     finally:
         service.close()

@@ -274,46 +274,6 @@ def estimate_closest_pair_distance(
     return math.sqrt(shared / (math.pi * pairs))
 
 
-#: Measured CPU cost of one entry pair in each pairwise expansion
-#: kernel, in nanoseconds (``benchmarks/bench_kernels.py``, M = 21
-#: nodes, d = 2, Euclidean; re-run it after kernel changes and update
-#: these).  Keys are the :data:`repro.geometry.vectorized.KERNEL_STATS`
-#: kernel names; ``minmax`` is the ``fused`` row less the ``minmin``
-#: and ``maxmax`` rows, as a fused call tallies under all three.
-#: ``points`` is the ``stacked`` row (16 leaf pairs of 14 x 14), since
-#: step CP3 makes most point-kernel calls one per run of leaf pairs.
-KERNEL_NS_PER_PAIR = {
-    "minmin": 37.0,
-    "minmax": 75.0,
-    "maxmax": 32.0,
-    "points": 9.0,
-}
-
-
-def estimate_cpu_ms(kernels: dict) -> float:
-    """Predicted CPU milliseconds spent in the pairwise kernels.
-
-    Folds a kernel tally -- the ``"kernels"`` section of the service
-    metrics snapshot, i.e. ``{name: {"pairs": ...}}`` from
-    :meth:`repro.geometry.vectorized.KernelStats.snapshot` -- through
-    the :data:`KERNEL_NS_PER_PAIR` calibration table.  This is the
-    CPU-side complement of :func:`estimate_cpq_accesses` (which prices
-    only I/O): comparing the two tells an operator whether a workload
-    is disk- or compute-bound, and comparing this estimate against the
-    measured latency rollups recalibrates the table.
-
-    Unknown kernel names are priced at the most expensive known rate
-    rather than dropped, so the estimate stays an upper-ish bound when
-    new kernels land before their calibration does.
-    """
-    fallback = max(KERNEL_NS_PER_PAIR.values())
-    total_ns = 0.0
-    for name, tally in kernels.items():
-        pairs = tally["pairs"] if isinstance(tally, dict) else tally
-        total_ns += pairs * KERNEL_NS_PER_PAIR.get(name, fallback)
-    return total_ns / 1e6
-
-
 def _center_range(lo: float, hi: float, side: float) -> Tuple[float, float]:
     half = min(side, hi - lo) / 2.0
     return lo + half, max(lo + half, hi - half)
@@ -417,9 +377,10 @@ def estimate_range_selectivity(shape: TreeShape, range_spec) -> float:
     return min(1.0, (ox * oy) / ws.area)
 
 
-#: Measured serial wall time per visited node pair, in milliseconds,
-#: at read latency 0: everything a query spends that worker threads
-#: cannot overlap (kernels, queue, page decode).  Calibrated on the
+#: The cost model's one CPU price: measured serial wall time per
+#: visited node pair, in milliseconds, at read latency 0 -- everything
+#: a query spends that worker threads cannot overlap (kernels, queue,
+#: page decode).  Calibrated on the
 #: ``kcpq_sequoia`` pair as ``core.traverse_ms`` over
 #: ``core.node_pairs_per_query`` from
 #: ``python3 perfbench/run.py --workload kcpq_sequoia --seed 1

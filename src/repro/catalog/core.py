@@ -603,8 +603,8 @@ class Catalog:
         """Register an existing ``.pages`` file under a catalog name.
 
         The migration path for pre-catalog trees (``repro-cpq build``
-        output, deprecated raw path flags): the page file stays where
-        it is, only the catalog entry is created.  ``metadata``
+        output): the page file stays where it is, only the catalog
+        entry is created.  ``metadata``
         defaults to the ``.meta.json`` sidecar (:func:`read_sidecar`).
         """
         if name in self._datasets and not overwrite:

@@ -21,9 +21,7 @@ The subcommands cover the library's workflow end to end::
 (:mod:`repro.catalog`): named datasets with one or more built indexes
 (STR-packed, grid-packed, dynamic).  ``query``, ``explain`` and
 ``serve-net`` accept catalog names wherever they accept files when
-``--catalog`` is given; raw path arguments still work one release
-longer but warn with ``DeprecationWarning`` and are routed through the
-same catalog machinery.  ``sql`` runs CPQL statements
+``--catalog`` is given.  ``sql`` runs CPQL statements
 (:mod:`repro.query.cpql`) against a catalog, in-process or against a
 ``serve-net`` endpoint.  ``explain`` runs the same query traced
 (:mod:`repro.obs`) and prints the span tree.  ``batch`` and ``serve``
@@ -39,7 +37,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from typing import List, Optional
 
 from repro.catalog import (
@@ -80,24 +77,10 @@ def _get_catalog(args: argparse.Namespace):
     return None if path is None else Catalog(path)
 
 
-def _deprecate_path_arg(ref: str) -> None:
-    warnings.warn(
-        f"raw path inputs like {ref!r} are deprecated; register the "
-        f"dataset in a catalog (repro-cpq catalog register) and pass "
-        f"its name with --catalog.  Path arguments will be removed "
-        f"one release from now.",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _open_input(
-    ref: str, catalog, *, use_mmap: bool = False, warn_paths: bool = True
-) -> RTree:
+def _open_input(ref: str, catalog, *, use_mmap: bool = False) -> RTree:
     """Resolve one dataset input: catalog name, ``.pages``, or points.
 
-    Catalog names win.  Path arguments are deprecated on the commands
-    that pass ``warn_paths=True``; a ``.pages`` path reopens through
+    Catalog names win.  A ``.pages`` path reopens through
     :func:`repro.catalog.open_tree` -- the same single reopen path the
     catalog, the service and the shard workers use -- and a points
     file is bulk-loaded.
@@ -110,8 +93,6 @@ def _open_input(
         if catalog is not None:
             raise UnknownDatasetError(ref, tuple(catalog.names()))
         raise FileNotFoundError(f"no such input: {ref}")
-    if warn_paths:
-        _deprecate_path_arg(ref)
     if ref.endswith(".pages"):
         return open_tree(ref, use_mmap=use_mmap)
     return bulk_load(load_points(ref))
@@ -257,7 +238,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    tree = _open_input(args.tree, None, warn_paths=False)
+    tree = _open_input(args.tree, None)
     print(f"tree: {args.tree}")
     print(f"  points:   {len(tree)}")
     print(f"  height:   {tree.height}")
@@ -330,18 +311,16 @@ def _request_fields(args: argparse.Namespace) -> dict:
 
 
 def _open_pair(args: argparse.Namespace, *, use_mmap: bool = False,
-               warn_paths: bool = True, split_buffer: bool = False):
+               split_buffer: bool = False):
     """``args.left`` and ``args.right`` through :func:`_open_input`.
 
     One name on both sides opens one handle, so the self-join sees the
     one tree it needs.  ``split_buffer`` gives each tree half of
     ``--buffer``, or all of it to a tree serving both sides."""
     catalog = _get_catalog(args)
-    tree_p = _open_input(args.left, catalog, use_mmap=use_mmap,
-                         warn_paths=warn_paths)
+    tree_p = _open_input(args.left, catalog, use_mmap=use_mmap)
     tree_q = (tree_p if args.right == args.left
-              else _open_input(args.right, catalog, use_mmap=use_mmap,
-                               warn_paths=warn_paths))
+              else _open_input(args.right, catalog, use_mmap=use_mmap))
     if split_buffer and args.buffer:
         share = 1 if tree_p is tree_q else 2
         tree_p.file.set_buffer_capacity(args.buffer // share)
@@ -456,7 +435,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_knn(args: argparse.Namespace) -> int:
     from repro.query import nearest_neighbors
 
-    tree = _open_input(args.tree, None, warn_paths=False)
+    tree = _open_input(args.tree, None)
     found = nearest_neighbors(tree, (args.x, args.y), k=args.k)
     for rank, (distance, entry) in enumerate(found, start=1):
         print(f"{rank:4d}  {entry.point}  oid={entry.oid}  "
@@ -469,7 +448,7 @@ def cmd_range(args: argparse.Namespace) -> int:
     from repro.geometry.mbr import MBR
     from repro.query import range_query
 
-    tree = _open_input(args.tree, None, warn_paths=False)
+    tree = _open_input(args.tree, None)
     window = MBR((args.xmin, args.ymin), (args.xmax, args.ymax))
     found = range_query(tree, window)
     for entry in found:
@@ -482,7 +461,7 @@ def cmd_join(args: argparse.Namespace) -> int:
     from repro.query import distance_range_join
     from repro.storage.stats import QueryStats
 
-    tree_p, tree_q = _open_pair(args, warn_paths=False)
+    tree_p, tree_q = _open_pair(args)
     stats = QueryStats()
     pairs = distance_range_join(tree_p, tree_q, args.epsilon, stats=stats)
     limit = args.limit if args.limit is not None else len(pairs)
@@ -555,7 +534,7 @@ def _make_service(args: argparse.Namespace):
     from repro.obs import Tracer
     from repro.service import QueryService
 
-    tree_p, tree_q = _open_pair(args, warn_paths=False, split_buffer=True)
+    tree_p, tree_q = _open_pair(args, split_buffer=True)
     service = QueryService(
         workers=args.workers,
         queue_size=args.queue_size,
@@ -655,7 +634,7 @@ def _file_backed_tree(path: str, scratch_dir: str, name: str) -> RTree:
     points input is bulk-loaded into ``scratch_dir`` first.
     """
     if path.endswith(".pages"):
-        return _open_input(path, None, warn_paths=False)
+        return _open_input(path, None)
     pages = os.path.join(scratch_dir, name + ".pages")
     store = FilePageStore(pages, page_size=1024)
     return bulk_load(load_points(path),
@@ -696,7 +675,6 @@ def cmd_serve_net(args: argparse.Namespace) -> int:
             print(f"error: inputs are neither registered datasets nor "
                   f"files; catalog knows: {known}", file=sys.stderr)
             return 2
-        _deprecate_path_arg(args.left)
         scratch = tempfile.mkdtemp(prefix="repro-serve-net-")
         specs = []
         for name, path in (("p", args.left), ("q", args.right)):
@@ -717,15 +695,6 @@ def cmd_serve_net(args: argparse.Namespace) -> int:
         cache_size=args.cache_size,
         default_deadline_ms=args.deadline_ms,
         cpq_executor=manager.service_executor(),
-    )
-    # Lifecycle self-healing events (supervisor respawns, hot reloads)
-    # flow into /stats; query-scoped events (retries, hedges) are
-    # forwarded per-query by the engine, so only lifecycle kinds pass
-    # here or they would double-count.
-    lifecycle = ("respawns", "reloads", "probe_misses")
-    manager.metrics_sink = (
-        lambda kind, n: service.metrics.record_net_event(kind, n)
-        if kind in lifecycle else None
     )
     service.register_pair(pair, manager.tree_p, manager.tree_q)
     if catalog is not None:
@@ -841,7 +810,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    tree_p, tree_q = _open_pair(args, warn_paths=False, split_buffer=True)
+    tree_p, tree_q = _open_pair(args, split_buffer=True)
     # The registry's extensions (self/semi/multiway/incremental) have
     # their own call shapes and are opt-in via --algorithms.
     algorithms = (
@@ -1334,8 +1303,7 @@ def _add_cpq_args(parser: argparse.ArgumentParser, algorithms,
     for side in ("left", "right"):
         parser.add_argument(side,
                             help="catalog dataset name (with --catalog), "
-                                 "or points file / .pages tree "
-                                 "(deprecated)")
+                                 "or points file / .pages tree")
     parser.add_argument("--catalog", default=None,
                         help="dataset catalog (dir or catalog.json) to "
                              "resolve names against")
@@ -1547,12 +1515,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_net.add_argument("left",
                            help="catalog dataset name (with --catalog),"
-                                " or points file / .pages tree (P, "
-                                "deprecated)")
+                                " or points file / .pages tree (P)")
     serve_net.add_argument("right",
                            help="catalog dataset name (with --catalog),"
-                                " or points file / .pages tree (Q, "
-                                "deprecated)")
+                                " or points file / .pages tree (Q)")
     serve_net.add_argument("--catalog", default=None,
                            help="dataset catalog (dir or catalog.json);"
                                 " also enables POST /v1/sql dataset "

@@ -22,7 +22,7 @@ contiguous; row-major inputs give the same values, only more slowly.
 
 Every public kernel tallies its invocation into :data:`KERNEL_STATS`
 (calls and entry pairs evaluated), which the service metrics snapshot
-exposes for cost-model recalibration.  A batched point-kernel call
+exposes as an observed tally.  A batched point-kernel call
 counts once, with every element of its stack.
 
 The MINMAXDIST kernel uses a branch-free closed form of Definition 3
@@ -62,8 +62,7 @@ class KernelStats:
 
     Tracks, per kernel name, how many times it ran and how many entry
     pairs it evaluated, so one service metrics snapshot
-    (``snapshot()["kernels"]``) shows the real pair counts the cost
-    model is recalibrated against.
+    (``snapshot()["kernels"]``) shows the real pair counts.
 
     Each thread records into its own cell without a lock, and
     :meth:`snapshot` sums the cells.  A thread's first record folds the

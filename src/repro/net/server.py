@@ -18,7 +18,10 @@ speaks the versioned JSON envelopes of :mod:`repro.net.wire`:
 * ``GET /healthz`` -- liveness plus per-shard breaker states when a
   :class:`~repro.net.shard.ShardManager` is attached.
 * ``GET /stats`` -- the service metrics snapshot
-  (:meth:`~repro.service.metrics.ServiceMetrics.snapshot`).
+  (:meth:`~repro.service.metrics.ServiceMetrics.snapshot`); with a
+  :class:`~repro.net.shard.ShardManager` attached, its
+  ``resilience.net`` block is the manager's lifetime counters, the
+  same ledger ``/healthz`` shows under ``net``.
 
 Concurrency model: the asyncio loop only parses and frames; queries
 run on the :class:`~repro.service.QueryService` thread pool exactly as
@@ -89,9 +92,10 @@ class NetServer:
         Construct it with ``cpq_executor=manager.service_executor()``
         to route shardable CPQs through the shard tier.
     manager:
-        Optional :class:`~repro.net.shard.ShardManager`; only used for
-        ``/healthz`` reporting here (execution routing goes through
-        the service's ``cpq_executor``).  :meth:`close` tears it down
+        Optional :class:`~repro.net.shard.ShardManager`; only read
+        here, by ``/healthz`` and the ``resilience.net`` block of
+        ``/stats`` (execution routing goes through the service's
+        ``cpq_executor``).  :meth:`close` tears it down
         after the service drains.
     host, port:
         Bind address; ``port=0`` picks a free port, exposed as
@@ -337,10 +341,8 @@ class NetServer:
             if method != "GET":
                 raise _HTTPError(405, "Method Not Allowed",
                                  "stats takes GET")
-            return 200, "OK", {
-                "v": wire.WIRE_VERSION,
-                "stats": self.service.metrics.snapshot(),
-            }
+            return 200, "OK", {"v": wire.WIRE_VERSION,
+                               "stats": self._stats()}
         raise _HTTPError(404, "Not Found", f"no route for {path!r}")
 
     async def _handle_query(
@@ -413,6 +415,14 @@ class NetServer:
             response.status, (500, "Internal Server Error")
         )
         return code, reason, wire.encode_response(response)
+
+    def _stats(self) -> Dict[str, Any]:
+        """The service metrics snapshot; behind shards, its
+        ``resilience.net`` block is the shard manager's ledger."""
+        stats = self.service.metrics.snapshot()
+        if self.manager is not None:
+            stats["resilience"]["net"] = self.manager.net_stats()
+        return stats
 
     def _healthz(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {

@@ -112,8 +112,22 @@ _PROBE_MISS_LIMIT = 3
 #: respawn backoff (crash-looping); a longer life resets it.
 _QUICK_DEATH_S = 5.0
 
+#: Seconds a spawned shard may take to answer its first probe.  Until
+#: then it is booting (interpreter start, tree reopen) and misses are
+#: not counted; a shard still silent past this deadline never booted
+#: and is respawned.
+_BOOT_DEADLINE_S = 30.0
+
 #: Upper bound on the supervisor's capped respawn backoff.
 _MAX_RESPAWN_BACKOFF_S = 5.0
+
+#: Buffer capacity of the coordinator's own tree handles (the
+#: partitioning working set: roots plus one or two levels).
+_COORDINATOR_BUFFER = 256
+
+#: Shard processes start fresh interpreters: no inherited locks or
+#: file offsets, and the same behaviour on every platform.
+_MP_START_METHOD = "spawn"
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +248,8 @@ class _Shard:
 
     __slots__ = ("shard_id", "process", "inbox", "breaker", "jobs",
                  "failures", "respawns", "spawned_at", "backoff_s",
-                 "next_spawn_at", "probe_ctl", "probe_sent_at",
-                 "probe_misses", "generations")
+                 "next_spawn_at", "probe_ctl", "probe_misses",
+                 "generations")
 
     def __init__(self, shard_id: int, breaker: CircuitBreaker):
         self.shard_id = shard_id
@@ -249,10 +263,9 @@ class _Shard:
         self.backoff_s = 0.0
         self.next_spawn_at = 0.0
         self.probe_ctl: Optional[int] = None
-        self.probe_sent_at = 0.0
         self.probe_misses = 0
         #: Last (generation_p, generation_q) a probe or reload ack
-        #: reported; None until the first answer.
+        #: reported; None until the first answer (the shard is booting).
         self.generations: Optional[Tuple[int, int]] = None
 
     @property
@@ -359,15 +372,6 @@ class ShardManager:
     breaker_factory:
         Builds each shard's :class:`~repro.service.breaker.
         CircuitBreaker`; defaults to ``CircuitBreaker()``.
-    coordinator_buffer:
-        Buffer capacity of the coordinator's own tree handles
-        (partitioning working set -- roots plus one or two levels).
-    metrics_sink:
-        Optional callable ``(event, n)`` receiving every lifetime
-        counter increment (retries, hedges, hedge_wins, respawns,
-        reloads, frame_errors, ...); ``repro-cpq serve-net`` wires it
-        to :meth:`~repro.service.metrics.ServiceMetrics.
-        record_net_event` so the counters surface in ``/stats``.
     """
 
     def __init__(
@@ -386,9 +390,6 @@ class ShardManager:
         supervise: bool = True,
         probe_interval_s: float = 2.0,
         breaker_factory: Optional[Callable[[], CircuitBreaker]] = None,
-        coordinator_buffer: int = 256,
-        mp_start_method: str = "spawn",
-        metrics_sink: Optional[Callable[[str, int], None]] = None,
         seed: int = 0,
     ):
         if shards < 1:
@@ -414,12 +415,10 @@ class ShardManager:
             else shard_timeout_s / self.retry_policy.max_attempts
         )
         self.probe_interval_s = probe_interval_s
-        self.metrics_sink = metrics_sink
         self._transport = transport or ShardTransport()
-        self._mp = multiprocessing.get_context(mp_start_method)
+        self._mp = multiprocessing.get_context(_MP_START_METHOD)
         factory = (breaker_factory if breaker_factory is not None
                    else CircuitBreaker)
-        self._coordinator_buffer = coordinator_buffer
         self._open_coordinator_trees()
         self._outbox = self._mp.Queue()
         self._shards = [_Shard(i, factory()) for i in range(shards)]
@@ -433,8 +432,8 @@ class ShardManager:
         #: Trailing completed-chunk latencies feeding the hedge
         #: threshold (bounded; coarse is fine for a quantile).
         self._latency_samples: List[float] = []
-        #: Lifetime self-healing counters (also mirrored to
-        #: ``metrics_sink``); see :meth:`net_stats`.
+        #: The one lifetime ledger of self-healing events: ``/healthz``
+        #: and ``/stats`` both read it through :meth:`net_stats`.
         self.counters: Dict[str, int] = {
             "retries": 0, "hedges": 0, "hedge_wins": 0, "respawns": 0,
             "reloads": 0, "frame_errors": 0, "dedup_dropped": 0,
@@ -462,19 +461,14 @@ class ShardManager:
         """Open the coordinator's handles on the current specs: no
         simulated latency, as partitioning reads only the top levels."""
         self.tree_p, self.tree_q = (
-            replace(spec, buffer_capacity=self._coordinator_buffer,
+            replace(spec, buffer_capacity=_COORDINATOR_BUFFER,
                     read_latency=0.0, use_mmap=False).open()
             for spec in (self.spec_p, self.spec_q)
         )
 
-    def _count(self, event: str, n: int = 1) -> None:
+    def _count(self, event: str) -> None:
         with self._lock:
-            self.counters[event] = self.counters.get(event, 0) + n
-        if self.metrics_sink is not None:
-            try:
-                self.metrics_sink(event, n)
-            except Exception:  # pragma: no cover -- sink must not kill us
-                pass
+            self.counters[event] += 1
 
     def _spawn(self, shard: _Shard) -> None:
         """(Re)start one shard process with a fresh inbox."""
@@ -523,6 +517,14 @@ class ShardManager:
             shard.next_spawn_at = time.monotonic() + shard.backoff_s
         self._count("respawns")
         return True
+
+    def _restart(self, shard: _Shard, force: bool = False) -> bool:
+        """Kill a live but unresponsive shard, then :meth:`_respawn`."""
+        process = shard.process
+        if process is not None:
+            process.kill()
+            process.join(1.0)
+        return self._respawn(shard, force=force)
 
     def close(self, timeout_s: float = 5.0) -> None:
         """Stop every shard process, the supervisor and the collector."""
@@ -626,10 +628,12 @@ class ShardManager:
         Each cycle: dead shards are respawned (subject to their
         backoff); live shards are probed over the normal wire.  A
         probe answered before the next cycle clears the shard's miss
-        counter and refreshes its reported generations; ``
-        _PROBE_MISS_LIMIT`` consecutive misses declare the shard hung
-        and force a kill + respawn (wedged processes look alive to
-        ``is_alive`` forever).
+        counter and refreshes its reported generations.  Misses count
+        only once a shard has answered a first probe: before that it
+        is booting, and only :data:`_BOOT_DEADLINE_S` of silence gets
+        it respawned.  ``_PROBE_MISS_LIMIT`` consecutive misses declare
+        a booted shard hung and force a kill + respawn (wedged
+        processes look alive to ``is_alive`` forever).
         """
         while not self._stop.wait(self.probe_interval_s):
             if self._closed:
@@ -640,6 +644,8 @@ class ShardManager:
                     continue
                 if shard.probe_ctl is not None:
                     wait = self._ctl.get(shard.probe_ctl)
+                    self._drop_ctl(shard.probe_ctl)
+                    shard.probe_ctl = None
                     if wait is not None and wait.event.is_set():
                         shard.probe_misses = 0
                         try:
@@ -650,20 +656,18 @@ class ShardManager:
                             )
                         except FrameError:
                             self._count("frame_errors")
-                        self._drop_ctl(shard.probe_ctl)
-                        shard.probe_ctl = None
+                    elif shard.generations is None:
+                        # Still booting: probe again, unless the boot
+                        # deadline has passed.
+                        if (time.monotonic() - shard.spawned_at
+                                > _BOOT_DEADLINE_S):
+                            self._restart(shard)
+                            continue
                     else:
                         shard.probe_misses += 1
                         self._count("probe_misses")
-                        self._drop_ctl(shard.probe_ctl)
-                        shard.probe_ctl = None
                         if shard.probe_misses >= _PROBE_MISS_LIMIT:
-                            shard.probe_misses = 0
-                            process = shard.process
-                            if process is not None:
-                                process.kill()
-                                process.join(1.0)
-                            self._respawn(shard)
+                            self._restart(shard)
                         continue
                 ctl_id = next(self._ctl_ids)
                 try:
@@ -671,7 +675,6 @@ class ShardManager:
                 except (OSError, ValueError):  # pragma: no cover
                     continue
                 shard.probe_ctl = ctl_id
-                shard.probe_sent_at = time.monotonic()
 
     def reload(self, spec_p: TreeSpec, spec_q: TreeSpec,
                timeout_s: float = 10.0) -> Dict[str, Any]:
@@ -729,11 +732,7 @@ class ShardManager:
             else:
                 # No ack: restart the shard; the fresh process opens
                 # the new specs, so the reload still lands.
-                process = shard.process
-                if process is not None:
-                    process.kill()
-                    process.join(1.0)
-                if self._respawn(shard, force=True):
+                if self._restart(shard, force=True):
                     respawned.append(shard_id)
         self._count("reloads")
         return {

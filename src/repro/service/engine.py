@@ -139,14 +139,6 @@ class CPQRequest:
     #: that many workers (still capped by ``max_query_workers``).
     #: Execution-only -- does not participate in the cache key.
     workers: int = 0
-    #: Pin both trees' committed snapshots for the duration of the
-    #: execution (the default).  A pinned query reads one consistent
-    #: generation per tree even while writers commit batches; pages it
-    #: can reach are not reclaimed until it releases.  ``False`` reads
-    #: the live tree state unpinned -- only safe when nothing mutates
-    #: concurrently.  Execution-only: not part of the cache key (the
-    #: key already embeds the committed generations).
-    pin_snapshot: bool = True
     #: Optional range window (:class:`repro.core.constraints.RangeSpec`
     #: or a bare ``(lo, hi)`` tuple) restricting reported pairs, and
     #: optional color predicates (:class:`~repro.core.constraints.
@@ -644,19 +636,6 @@ class QueryService:
         """
         return self.submit(request).result(timeout)
 
-    def run_batch(
-        self, requests: Sequence[Request],
-        timeout: Optional[float] = None,
-    ) -> List[QueryResponse]:
-        """Submit a batch and collect responses in request order.
-
-        All requests are admitted before any response is awaited, so
-        the batch runs at full pool width; ``timeout`` (seconds)
-        applies to each individual wait.
-        """
-        handles = [self.submit(request) for request in requests]
-        return [handle.result(timeout) for handle in handles]
-
     def submit_batch(
         self, requests: Sequence[Request]
     ) -> List[PendingQuery]:
@@ -838,17 +817,15 @@ class QueryService:
         # key, planner refresh and traversal all describe exactly these
         # generations, and no page either query can reach is reclaimed
         # until the pins release (see docs/STORAGE.md).
-        pin = getattr(request, "pin_snapshot", True)
-        snap_p = pair.tree_p.pin() if pin else pair.tree_p.committed()
-        snap_q = pair.tree_q.pin() if pin else pair.tree_q.committed()
+        snap_p = pair.tree_p.pin()
+        snap_q = pair.tree_q.pin()
         try:
             return self._execute_pinned(
                 pair, request, deadline, snap_p, snap_q
             )
         finally:
-            if pin:
-                pair.tree_p.release(snap_p)
-                pair.tree_q.release(snap_q)
+            pair.tree_p.release(snap_p)
+            pair.tree_q.release(snap_q)
 
     def _execute_pinned(
         self, pair: _RegisteredPair, request: Request,
@@ -951,16 +928,6 @@ class QueryService:
         )
         if partial:
             self.metrics.record_partial_response()
-        # Self-healing events this query's scatter-gather burned
-        # through (retries, hedges, damaged frames) roll up into the
-        # resilience.net section of /stats.
-        if request.kind == "cpq":
-            net = result.stats.extra.get("net", {})
-            for event in ("retries", "hedges", "hedge_wins",
-                          "frame_errors", "dedup_dropped"):
-                count = net.get(event, 0)
-                if count:
-                    self.metrics.record_net_event(event, count)
         if key is not None and not partial:
             self.cache.put(
                 key,

@@ -67,9 +67,6 @@ class ServiceMetrics:
         self._partial_responses = 0
         #: Storage faults observed by executions: error type -> count.
         self._storage_faults: Dict[str, int] = {}
-        #: Self-healing network events from the shard coordinator:
-        #: retries, hedges, hedge_wins, respawns, reloads, ... -> count.
-        self._net_events: Dict[str, int] = {}
         #: Span rollups fed by traced requests: name -> [count, total_ms].
         self._spans: Dict[str, list] = {}
 
@@ -152,18 +149,6 @@ class ServiceMetrics:
         """One sharded CPQ answered from surviving shards only."""
         with self._lock:
             self._partial_responses += 1
-
-    def record_net_event(self, kind: str, n: int = 1) -> None:
-        """Count ``n`` self-healing events from the shard coordinator.
-
-        ``kind`` is one of the :attr:`repro.net.shard.ShardManager.
-        counters` keys (``retries``, ``hedges``, ``hedge_wins``,
-        ``respawns``, ``reloads``, ``frame_errors``, ...); the tallies
-        surface under ``resilience.net`` in :meth:`snapshot` and hence
-        in ``/stats``.
-        """
-        with self._lock:
-            self._net_events[kind] = self._net_events.get(kind, 0) + n
 
     @staticmethod
     def _bucket_index(latency_ms: float) -> int:
@@ -276,13 +261,9 @@ class ServiceMetrics:
                     "parallel_fallbacks": self._parallel_fallbacks,
                     "partial_responses": self._partial_responses,
                     "storage_faults": dict(self._storage_faults),
-                    "net": dict(self._net_events),
                 },
                 # Process-wide pairwise-kernel tallies (calls and entry
-                # pairs per kernel).  These are the observed pair counts
-                # the cost model's CPU-side estimates
-                # (repro.analysis.cost_model.estimate_cpu_ms) are
-                # recalibrated against.
+                # pairs per kernel), as observed.
                 "kernels": KERNEL_STATS.snapshot(),
                 "spans": {
                     name: {

@@ -184,21 +184,47 @@ class TestScheduleParity:
                 assert result.stats.extra["net"]["partial"] is False
 
 
-class _StallShardZero(ShardTransport):
-    """Deterministic hedging bait: shard 0's jobs arrive very late."""
+class _HoldShardZero(ShardTransport):
+    """Deterministic hedging bait: shard 0 gets each query job only
+    after shard 1's reply for the same chunk has been delivered, and
+    never once the transport has closed."""
 
-    def __init__(self, stall_s=0.6):
-        self.stall_s = stall_s
+    def __init__(self):
+        self._lock = threading.Lock()
+        #: (req_id, chunk_id) -> (inbox, job) of held shard-0 jobs.
+        self._held = {}
+        self._closed = False
 
     def send(self, shard, message) -> None:
-        if shard.shard_id == 0:
-            inbox = shard.inbox
-            timer = threading.Timer(
-                self.stall_s, lambda: inbox.put(message)
-            )
-            timer.daemon = True
-            timer.start()
-        else:
+        if shard.shard_id == 0 and message[0] == "query":
+            with self._lock:
+                if not self._closed:
+                    self._held[message[1:3]] = (shard.inbox, message)
+            return
+        shard.inbox.put(message)
+
+    def deliver(self, message, deliver) -> None:
+        deliver(message)
+        if message[0] == "reply" and message[4] == 1:
+            with self._lock:
+                held = (None if self._closed
+                        else self._held.pop(message[1:3], None))
+                if held is not None:
+                    inbox, job = held
+                    inbox.put(job)
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            self._held.clear()
+
+
+class _WithholdProbes(ShardTransport):
+    """No probe reaches a shard, so none ever acks one: to the
+    supervisor, every shard is still booting."""
+
+    def send(self, shard, message) -> None:
+        if message[0] != "probe":
             shard.inbox.put(message)
 
 
@@ -215,7 +241,7 @@ class TestSelfHealing:
         spec_p, spec_q, serial = corpus
         with ShardManager(
             spec_p, spec_q, shards=2,
-            transport=_StallShardZero(stall_s=0.6),
+            transport=_HoldShardZero(),
             shard_timeout_s=20.0, attempt_timeout_s=5.0,
             retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.01,
                                      max_delay_s=0.5, jitter=0.5),
@@ -224,8 +250,9 @@ class TestSelfHealing:
             result = manager.execute(CPQRequest(k=10, algorithm="heap"))
             assert result.pairs == serial["heap"].pairs
             stats = manager.net_stats()
-            # Shard 0's chunk sat stalled past the 50 ms floor, so a
-            # hedge went to shard 1 and its answer merged first.
+            # Shard 0's chunk sat held past the 50 ms floor, so a
+            # hedge went to shard 1, and shard 0 saw the job only
+            # after the hedge's answer had been delivered.
             assert stats["hedges"] >= 1
             assert stats["hedge_wins"] >= 1
 
@@ -248,6 +275,30 @@ class TestSelfHealing:
             stats = manager.net_stats()
             assert stats["respawns"] >= 1
             assert all(row["alive"] for row in manager.health())
+
+    def test_booting_shard_is_not_hung(self, corpus, monkeypatch):
+        from repro.net import shard as shard_module
+
+        spec_p, spec_q, __ = corpus
+        boot_s = 3.0
+        monkeypatch.setattr(shard_module, "_BOOT_DEADLINE_S", boot_s)
+        start = time.monotonic()  # no shard is spawned before this
+        with ShardManager(spec_p, spec_q, shards=2,
+                          transport=_WithholdProbes(),
+                          probe_interval_s=0.1) as manager:
+            # Fifteen unanswered probe cycles: three would declare a
+            # booted shard hung, but a booting one is left alone.
+            time.sleep(max(0.0, start + boot_s / 2 - time.monotonic()))
+            stats = manager.net_stats()
+            assert stats["respawns"] == 0
+            assert stats["probe_misses"] == 0
+            # Past the boot deadline the silent shards are respawned.
+            while (manager.net_stats()["respawns"] == 0
+                   and time.monotonic() < start + boot_s + 10.0):
+                time.sleep(0.05)
+            stats = manager.net_stats()
+            assert stats["respawns"] >= 1
+            assert stats["probe_misses"] == 0
 
     def test_duplicate_replies_dedupe(self, corpus):
         spec_p, spec_q, serial = corpus

@@ -278,3 +278,158 @@ class TestGracefulShutdown:
         # The service is fully closed behind the server.
         rejected = service.submit(ServiceCPQ(pair="default", k=1))
         assert rejected.result().status == "rejected"
+
+
+def _settled_ledger(port, manager=None, tries=25):
+    """``/stats`` ``resilience.net``, ``/healthz`` ``net`` and (given a
+    manager) its counters, read until no self-healing event lands
+    between the reads; returns the last reading."""
+    import time
+
+    for __ in range(tries):
+        with NetClient("127.0.0.1", port) as probe:
+            stats_net = probe.stats()["resilience"].get("net")
+            health_net = probe.healthz()["net"]
+        counters = None if manager is None else dict(manager.counters)
+        same = stats_net == health_net and (
+            counters is None
+            or {key: stats_net.get(key) for key in counters} == counters
+        )
+        if same:
+            break
+        time.sleep(0.2)
+    return stats_net, health_net, counters
+
+
+class TestOneLedger:
+    """``/stats`` ``resilience.net`` is a view of the shard manager's
+    counters: the same figures ``/healthz`` shows under ``net``."""
+
+    def test_stack_under_kill_schedule(self, tmp_path):
+        # Wired like perfbench/serve_http.py, plus the faulty wire.
+        import time
+
+        from repro.net.faults import SCHEDULES, FaultyShardTransport
+
+        rng = random.Random(3)
+        trees = [
+            _file_tree(tmp_path, name,
+                       [(rng.random(), rng.random()) for __ in range(300)])
+            for name in ("p.pages", "q.pages")
+        ]
+        manager = ShardManager(
+            tree_spec(trees[0]), tree_spec(trees[1]), shards=2,
+            pair="default",
+            transport=FaultyShardTransport(SCHEDULES["kill"]),
+        )
+        service = QueryService(workers=2, cache_size=0,
+                               cpq_executor=manager.service_executor())
+        service.register_pair("default", manager.tree_p, manager.tree_q)
+        server = NetServer(service, manager=manager).start_in_thread()
+        try:
+            with NetClient("127.0.0.1", server.port) as net_client:
+                for i in range(30):
+                    response = net_client.query(ServiceCPQ(
+                        pair="default", k=1 + i % 5, algorithm="heap",
+                        use_cache=False,
+                    ))
+                    assert response.status == "ok", response.error
+            deadline = time.monotonic() + 10.0
+            while (manager.counters["respawns"] == 0
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            stats_net, health_net, counters = _settled_ledger(
+                server.port, manager
+            )
+        finally:
+            server.close()
+        assert stats_net == health_net
+        assert {key: stats_net[key] for key in counters} == counters
+        assert counters["respawns"] >= 1
+
+    def test_serve_net_cli(self, tmp_path):
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        from repro.datasets import UNIT_WORKSPACE, save_points, uniform_points
+
+        paths = []
+        for name, seed in (("p.npy", 1), ("q.npy", 2)):
+            path = str(tmp_path / name)
+            save_points(path, uniform_points(300, UNIT_WORKSPACE, seed=seed))
+            paths.append(path)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                           "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve-net", *paths,
+             "--shards", "2", "--run-seconds", "120"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+        )
+        try:
+            port = json.loads(proc.stdout.readline())["port"]
+            with NetClient("127.0.0.1", port) as net_client:
+                for k in (1, 3, 5):
+                    response = net_client.query(ServiceCPQ(
+                        pair="default", k=k, algorithm="heap",
+                        use_cache=False,
+                    ))
+                    assert response.status == "ok", response.error
+            stats_net, health_net, __ = _settled_ledger(port)
+        finally:
+            proc.send_signal(signal.SIGINT)
+            proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert stats_net == health_net
+        assert {"retries", "hedges", "respawns", "probe_misses"} <= set(
+            stats_net)
+
+    def test_retry_of_deadline_abandoned_gather(self, tmp_path):
+        # Every query job is lost on the wire, so each attempt times
+        # out and is retried until the request deadline abandons the
+        # gather.  The retries happened and belong in /stats.
+        from repro.net.faults import ShardTransport
+        from repro.net.retry import HedgePolicy, RetryPolicy
+
+        class LoseQueries(ShardTransport):
+            def send(self, shard, message):
+                if message[0] != "query":
+                    shard.inbox.put(message)
+
+        rng = random.Random(4)
+        trees = [
+            _file_tree(tmp_path, name,
+                       [(rng.random(), rng.random()) for __ in range(200)])
+            for name in ("p.pages", "q.pages")
+        ]
+        manager = ShardManager(
+            tree_spec(trees[0]), tree_spec(trees[1]), shards=2,
+            transport=LoseQueries(), attempt_timeout_s=0.2,
+            retry_policy=RetryPolicy(max_attempts=100, base_delay_s=0.01,
+                                     max_delay_s=0.02),
+            hedge_policy=HedgePolicy(enabled=False),
+        )
+        service = QueryService(workers=1, cache_size=0,
+                               cpq_executor=manager.service_executor())
+        service.register_pair("default", manager.tree_p, manager.tree_q)
+        server = NetServer(service, manager=manager).start_in_thread()
+        try:
+            with NetClient("127.0.0.1", server.port) as net_client:
+                response = net_client.query(ServiceCPQ(
+                    pair="default", k=5, algorithm="heap",
+                    use_cache=False, deadline_ms=1500,
+                ))
+                assert response.status == "deadline_exceeded"
+            stats_net, health_net, counters = _settled_ledger(
+                server.port, manager
+            )
+        finally:
+            server.close()
+        assert stats_net == health_net
+        assert stats_net["retries"] == counters["retries"] >= 1

@@ -11,7 +11,6 @@ import random
 
 import pytest
 
-from repro.analysis.cost_model import KERNEL_NS_PER_PAIR, estimate_cpu_ms
 from repro.core import k_closest_pairs
 from repro.core.api import (
     ALGORITHM_REGISTRY,
@@ -221,24 +220,12 @@ class TestTracerWatchRefcount:
         assert tree_q.file.buffer.on_read is None
 
 
-class TestKernelCostEstimate:
-    def test_prices_known_kernels(self):
-        kernels = {"minmin": {"calls": 2, "pairs": 1000}}
-        expected = 1000 * KERNEL_NS_PER_PAIR["minmin"] / 1e6
-        assert estimate_cpu_ms(kernels) == pytest.approx(expected)
-
-    def test_unknown_kernel_priced_at_worst_rate(self):
-        worst = max(KERNEL_NS_PER_PAIR.values())
-        assert estimate_cpu_ms(
-            {"future_kernel": {"calls": 1, "pairs": 100}}
-        ) == pytest.approx(100 * worst / 1e6)
-
-    def test_empty_tally_is_free(self):
-        assert estimate_cpu_ms({}) == 0.0
-
-    def test_snapshot_section_feeds_estimate(self):
+class TestKernelTally:
+    def test_snapshot_reports_kernel_tally(self, trees):
         from repro.service.metrics import ServiceMetrics
 
-        snapshot = ServiceMetrics().snapshot()
-        assert "kernels" in snapshot
-        assert estimate_cpu_ms(snapshot["kernels"]) >= 0.0
+        k_closest_pairs(*trees, request=CPQRequest(k=3))
+        kernels = ServiceMetrics().snapshot()["kernels"]
+        assert kernels
+        for tally in kernels.values():
+            assert tally["pairs"] >= tally["calls"] >= 1

@@ -202,10 +202,8 @@ def test_batch_line_forms_match_query(
                    capsys.readouterr().out.splitlines() if line.strip()]
     assert response["status"] == "ok"
 
-    with pytest.warns(DeprecationWarning):
-        code = main(["query", left, right, "--k", "5",
-                     "--algorithm", "heap", *query_flags])
-    assert code == 0
+    assert main(["query", left, right, "--k", "5",
+                 "--algorithm", "heap", *query_flags]) == 0
     expected = _query_pairs(capsys.readouterr().out)
     assert expected
     assert [
