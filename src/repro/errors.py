@@ -50,6 +50,8 @@ Hierarchy
     entry does not declare.  Carries the capability name and the list
     of capable algorithms; the service answers ``bad_request`` and the
     network edge maps it to HTTP 400.
+  * :class:`InvalidCoordinateError` -- a point handed to a packer has a
+    NaN or infinite coordinate.  Also a :class:`ValueError`.
 
 Transient faults are *retried* (:class:`repro.storage.buffer.LRUBuffer`
 with a :class:`~repro.storage.buffer.RetryPolicy`); corruption is
@@ -139,6 +141,12 @@ class UnsupportedCapabilityError(ReproError, ValueError):
         self.algorithm = algorithm
         self.capability = capability
         self.capable = tuple(capable)
+
+
+class InvalidCoordinateError(ReproError, ValueError):
+    """A point has a NaN or infinite coordinate.  Raised at the
+    boundary (:func:`repro.rtree.bulk_load`, :func:`repro.rtree.grid_load`)
+    so NaN never reaches sort order or MINMINDIST pruning."""
 
 
 class CatalogError(ReproError):

@@ -8,10 +8,11 @@ equal cells per axis, cells are ordered along the Hilbert curve
 (:mod:`repro.rtree.hilbert`; row-major where the 2-d curve does not
 apply), points are sorted by cell id (then by position within a cell
 for determinism), and consecutive runs fill leaves at the same
-``fill`` factor ``rtree/bulk.py`` uses.  Upper levels reuse STR tiling over the leaf
-MBRs (:func:`repro.rtree.bulk._pack_level`), so the result is a
-structurally valid tree in the same page format -- every traversal,
-shard worker and snapshot facility works on it unchanged.
+``fill`` factor ``rtree/bulk.py`` uses.  Upper levels reuse STR tiling
+over the leaf MBRs (both kinds are written by
+:func:`repro.rtree.bulk.pack`), so the result is a structurally valid
+tree in the same page format -- every traversal, shard worker and
+snapshot facility works on it unchanged.
 
 Why bother?  Grid assignment is one pass of arithmetic (no recursive
 multi-axis sorting) and on *uniformly* distributed data the
@@ -28,12 +29,12 @@ how the planner predicts which regime a dataset is in (see
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.rtree.bulk import DEFAULT_FILL, _pack_level
-from repro.rtree.entries import InternalEntry, LeafEntry
+import numpy as np
+
+from repro.rtree.bulk import DEFAULT_FILL, pack, packing_input
 from repro.rtree.hilbert import hilbert_index
-from repro.rtree.node import Entry
 from repro.rtree.tree import RTree, RTreeConfig
 from repro.storage.paged_file import PagedFile
 
@@ -59,35 +60,27 @@ def grid_cells_per_axis(n: int, per_node: int, dimension: int) -> int:
     return max(1, math.ceil(leaves ** (1.0 / dimension)))
 
 
-def _bounding_box(points: Sequence[Sequence[float]], dimension: int):
-    lows = [math.inf] * dimension
-    highs = [-math.inf] * dimension
-    for point in points:
-        for axis in range(dimension):
-            value = float(point[axis])
-            if value < lows[axis]:
-                lows[axis] = value
-            if value > highs[axis]:
-                highs[axis] = value
-    return lows, highs
+def _cell_indexes(columns: np.ndarray, cells: int) -> np.ndarray:
+    """Per-axis grid cell of each point of ``(k, n)`` columns.
+
+    The points' bounding box is cut into ``cells`` per axis; indexes
+    are clamped to the grid and a zero-width axis is all cell 0.
+    """
+    lows = columns.min(axis=1, keepdims=True)
+    spans = columns.max(axis=1, keepdims=True) - lows
+    flat = spans[:, 0] <= 0.0
+    spans[flat] = 1.0
+    indexes = ((columns - lows) / spans * cells).astype(np.int64)
+    indexes[flat] = 0
+    return np.clip(indexes, 0, cells - 1)
 
 
-def _cell_id(point: Sequence[float], lows, spans, cells: int,
-             dimension: int) -> int:
-    """Row-major cell id of one point (clamped to the grid)."""
-    cell = 0
-    for axis in range(dimension):
-        span = spans[axis]
-        if span <= 0.0:
-            index = 0
-        else:
-            index = int((float(point[axis]) - lows[axis]) / span * cells)
-            if index >= cells:
-                index = cells - 1
-            elif index < 0:
-                index = 0
-        cell = cell * cells + index
-    return cell
+def _row_major(indexes: np.ndarray, cells: int) -> np.ndarray:
+    """Row-major cell ids from :func:`_cell_indexes`."""
+    ids = np.zeros(indexes.shape[1], dtype=np.int64)
+    for axis_indexes in indexes:
+        ids = ids * cells + axis_indexes
+    return ids
 
 
 def grid_load(
@@ -100,101 +93,36 @@ def grid_load(
 ) -> RTree:
     """Build an R-tree over ``points`` by uniform-grid packing.
 
-    Same signature and page format as
+    Same signature, input checks and page format as
     :func:`repro.rtree.bulk.bulk_load`; only the leaf-level point
-    ordering differs (row-major grid cells instead of STR tiles).
+    ordering differs (grid cells instead of STR tiles).
     ``cells_per_axis`` overrides the resolution
     :func:`grid_cells_per_axis` derives from the point count.
     """
-    if not 0.0 < fill <= 1.0:
-        raise ValueError("fill must be in (0, 1]")
-    tree = RTree(config, file)
-    if len(points) == 0:
+    tree, columns, ids, per_node = packing_input(
+        points, oids, config, file, fill
+    )
+    if columns is None:
         return tree
-    if oids is None:
-        oids = range(len(points))
-    per_node = max(2 * tree.min_entries, int(tree.max_entries * fill))
-    per_node = min(per_node, tree.max_entries)
-    dimension = tree.dimension
     if cells_per_axis is None:
         cells_per_axis = PACK_REFINEMENT * grid_cells_per_axis(
-            len(points), per_node, dimension
+            columns.shape[1], per_node, tree.dimension
         )
-    lows, highs = _bounding_box(points, dimension)
-    spans = [highs[axis] - lows[axis] for axis in range(dimension)]
-
-    if dimension == 2:
+    if tree.dimension == 2:
         # Hilbert order over the cells: consecutive cell ids are
         # spatially adjacent, so full-leaf runs form compact blobs.
         order = max(1, (cells_per_axis - 1).bit_length())
-        side = 1 << order
-
-        def cell_key(point):
-            indexes = []
-            for axis in range(dimension):
-                span = spans[axis]
-                if span <= 0.0:
-                    indexes.append(0)
-                    continue
-                index = int(
-                    (float(point[axis]) - lows[axis]) / span * side
-                )
-                indexes.append(min(max(index, 0), side - 1))
-            return hilbert_index(indexes[0], indexes[1], order=order)
+        x, y = _cell_indexes(columns, 1 << order).tolist()
+        keys = [hilbert_index(i, j, order=order) for i, j in zip(x, y)]
     else:
         # The curve is 2-d; other dimensions keep row-major cell ids.
-        def cell_key(point):
-            return _cell_id(
-                point, lows, spans, cells_per_axis, dimension
-            )
-
-    def sort_key(item):
-        point, __ = item
-        return (
-            cell_key(point),
-            tuple(float(v) for v in point),
-        )
-
-    ordered = sorted(zip(points, oids), key=sort_key)
-    entries: List[Entry] = [
-        LeafEntry(tuple(float(v) for v in p), oid) for p, oid in ordered
-    ]
-
-    # Leaves: consecutive runs of the grid order, with the same
-    # trailing-group repair bulk loading performs (per_node >= 2m, so
-    # a merged overflow always re-splits into two legal nodes).
-    groups = [
-        entries[i:i + per_node]
-        for i in range(0, len(entries), per_node)
-    ]
-    if len(groups) > 1 and len(groups[-1]) < tree.min_entries:
-        tail = groups.pop()
-        merged = groups.pop() + tail
-        if len(merged) <= tree.max_entries:
-            groups.append(merged)
-        else:
-            half = len(merged) // 2
-            groups.append(merged[:half])
-            groups.append(merged[half:])
-    nodes = []
-    for group in groups:
-        node = tree._new_node(0)
-        node.replace_entries(group)
-        tree._write_node(node)
-        nodes.append(node)
-
-    # Upper levels: STR tiling over the leaf MBRs (the grid only
-    # dictates the leaf-level point order).
-    level = 1
-    while len(nodes) > 1:
-        upper = [InternalEntry(n.mbr(), n.page_id) for n in nodes]
-        nodes = _pack_level(tree, upper, level, per_node)
-        level += 1
-    root = nodes[0]
-    tree.root_id = root.page_id
-    tree.height = max(level, 1)
-    tree._count = len(points)
-    return tree
+        keys = _row_major(_cell_indexes(columns, cells_per_axis),
+                          cells_per_axis)
+    # Leaves: consecutive runs of the grid order, then position (a
+    # stable sort, for determinism); upper levels: STR tiling over the
+    # leaf MBRs.
+    leaf_order = np.lexsort((*columns[::-1], keys))
+    return pack(tree, columns, ids, per_node, leaf_order)
 
 
 def grid_occupancy(
@@ -205,12 +133,11 @@ def grid_occupancy(
     """Points per (occupied) grid cell, keyed by row-major cell id."""
     if cells_per_axis < 1:
         raise ValueError("cells_per_axis must be >= 1")
-    counts: Dict[int, int] = {}
     if len(points) == 0:
-        return counts
-    lows, highs = _bounding_box(points, dimension)
-    spans = [highs[axis] - lows[axis] for axis in range(dimension)]
-    for point in points:
-        cell = _cell_id(point, lows, spans, cells_per_axis, dimension)
-        counts[cell] = counts.get(cell, 0) + 1
-    return counts
+        return {}
+    columns = np.asarray(points, dtype=np.float64)[:, :dimension].T
+    cells, counts = np.unique(
+        _row_major(_cell_indexes(columns, cells_per_axis), cells_per_axis),
+        return_counts=True,
+    )
+    return dict(zip(cells.tolist(), counts.tolist()))

@@ -13,7 +13,8 @@ Pages hold a small header followed by fixed-size entry slots:
 Entries are padded to the layout's fixed slot size so capacity
 arithmetic (and the paper's M = 21 for 1 KiB pages) is exact.  The
 serializer is deliberately independent of the R-tree classes: it deals
-in plain tuples, and :mod:`repro.rtree.node` adapts them.
+in plain tuples (:mod:`repro.rtree.node` adapts them) or coordinate
+columns (the packers), and both go through one structured slot dtype.
 
 The checksum covers the whole page with the CRC field itself zeroed.
 Every page this serializer writes is version 1 with the
@@ -83,16 +84,8 @@ class NodeSerializer:
         self.layout = layout
         self.allow_legacy = allow_legacy
         k = layout.dimension
-        self._leaf_entry = struct.Struct(f"<{k}dq")
-        self._internal_entry = struct.Struct(f"<{2 * k}dq")
-        for fmt in (self._leaf_entry, self._internal_entry):
-            if fmt.size > layout.entry_size:
-                raise ValueError(
-                    f"entry struct of {fmt.size} bytes exceeds the "
-                    f"{layout.entry_size}-byte slot"
-                )
         # Structured views of one entry slot (padding included in
-        # itemsize) so whole pages decode with a single np.frombuffer.
+        # itemsize), so whole pages encode and decode as one array.
         self._leaf_dtype = np.dtype(
             {
                 "names": ["coords", "oid"],
@@ -112,7 +105,9 @@ class NodeSerializer:
 
     def serialize_leaf(self, entries: Sequence[LeafEntryTuple]) -> bytes:
         """Pack a leaf node (level 0) into one page."""
-        return self._serialize(0, entries, self._pack_leaf_entry)
+        coords = self._columns([entry[0] for entry in entries])
+        oids = [entry[1] for entry in entries]
+        return self.serialize_records(0, self.records(0, coords, None, oids))
 
     def serialize_internal(
         self, level: int, entries: Sequence[InternalEntryTuple]
@@ -120,34 +115,48 @@ class NodeSerializer:
         """Pack an internal node (level >= 1) into one page."""
         if level < 1:
             raise ValueError("internal nodes have level >= 1")
-        return self._serialize(level, entries, self._pack_internal_entry)
+        lo = self._columns([entry[0] for entry in entries])
+        hi = self._columns([entry[1] for entry in entries])
+        children = [entry[2] for entry in entries]
+        return self.serialize_records(
+            level, self.records(level, lo, hi, children)
+        )
 
-    def _pack_leaf_entry(self, entry: LeafEntryTuple) -> bytes:
-        coords, oid = entry
-        return self._leaf_entry.pack(*coords, oid)
+    def _columns(self, rows: list) -> np.ndarray:
+        """Coordinate rows as ``(k, len(rows))`` float64 columns."""
+        return np.array(rows, dtype=np.float64).reshape(
+            len(rows), self.layout.dimension
+        ).T
 
-    def _pack_internal_entry(self, entry: InternalEntryTuple) -> bytes:
-        lo, hi, child = entry
-        return self._internal_entry.pack(*lo, *hi, child)
+    def records(self, level: int, lo, hi, ids) -> np.ndarray:
+        """Zero-padded entry slots from ``(k, n)`` bound columns (a
+        leaf's points as ``lo``) and ``n`` object or child page ids;
+        page ``records[i:j]`` with :meth:`serialize_records`."""
+        if level == 0:
+            records = np.zeros(len(ids), dtype=self._leaf_dtype)
+            records["coords"] = lo.T
+            records["oid"] = ids
+        else:
+            records = np.zeros(len(ids), dtype=self._internal_dtype)
+            records["lo"] = lo.T
+            records["hi"] = hi.T
+            records["child"] = ids
+        return records
 
-    def _serialize(self, level, entries, pack) -> bytes:
-        if len(entries) > self.layout.max_entries:
+    def serialize_records(self, level: int, records: np.ndarray) -> bytes:
+        """Pack one node's slots from :meth:`records` into a page."""
+        return self._page(level, len(records), records.tobytes())
+
+    def _page(self, level: int, count: int, body: bytes) -> bytes:
+        """The one page writer: header, ``body`` slots, zero tail, CRC."""
+        if count > self.layout.max_entries:
             raise PageOverflowError(
-                f"{len(entries)} entries exceed capacity "
-                f"{self.layout.max_entries}"
+                f"{count} entries exceed capacity {self.layout.max_entries}"
             )
-        slot = self.layout.entry_size
-        parts = [
-            _HEADER.pack(
-                level, len(entries), PAGE_FORMAT_VERSION, PAGE_MAGIC, 0
-            )
-        ]
-        for entry in entries:
-            raw = pack(entry)
-            parts.append(raw)
-            parts.append(b"\x00" * (slot - len(raw)))
-        payload = b"".join(parts)
-        page = payload + b"\x00" * (self.layout.page_size - len(payload))
+        page = _HEADER.pack(
+            level, count, PAGE_FORMAT_VERSION, PAGE_MAGIC, 0
+        ) + body
+        page += b"\x00" * (self.layout.page_size - len(page))
         crc = struct.pack("<I", page_checksum(page))
         return page[:_CRC_OFFSET] + crc + page[_CRC_END:]
 
@@ -205,23 +214,7 @@ class NodeSerializer:
         Returns ``(level, entries)`` where entries are leaf tuples when
         ``level == 0`` and internal tuples otherwise.
         """
-        level, count = self._read_header(page)
-        slot = self.layout.entry_size
-        k = self.layout.dimension
-        entries: List = []
-        offset = HEADER_SIZE
-        if level == 0:
-            for _ in range(count):
-                values = self._leaf_entry.unpack_from(page, offset)
-                entries.append((tuple(values[:k]), values[k]))
-                offset += slot
-        else:
-            for _ in range(count):
-                values = self._internal_entry.unpack_from(page, offset)
-                entries.append(
-                    (tuple(values[:k]), tuple(values[k:2 * k]), values[2 * k])
-                )
-                offset += slot
+        level, entries, __, __ = self.deserialize_arrays(page)
         return level, entries
 
     def deserialize_arrays(self, page: bytes):

@@ -1,10 +1,13 @@
 """STR bulk-loading tests."""
 
+import math
 import random
 
 import pytest
 
+from repro.errors import InvalidCoordinateError, ReproError
 from repro.rtree.bulk import bulk_load
+from repro.rtree.grid import grid_load
 from repro.rtree.tree import RTreeConfig
 from repro.rtree.validate import validate
 from repro.storage.page import PageLayout
@@ -84,3 +87,35 @@ class TestBulkLoad:
             assert tree.delete(points[oid], oid)
         summary = validate(tree)
         assert summary.entries == 150
+
+
+class TestInputChecks:
+    """Both packers reject malformed points before tiling them."""
+
+    @pytest.mark.parametrize("load", [bulk_load, grid_load])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_coordinate_rejected(self, load, bad, axis):
+        point = [0.5, 0.5]
+        point[axis] = bad
+        points = [(0.1, 0.9), (1.0, 1.0), tuple(point), (0.5, 0.2)]
+        with pytest.raises(InvalidCoordinateError, match="point 2") as info:
+            load(points)
+        assert isinstance(info.value, ReproError)
+        assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("load", [bulk_load, grid_load])
+    def test_wrong_dimension_names_both_lengths(self, load):
+        points = [(0.0, 0.0), (1.0, 1.0), (0.5, 0.5, 0.5)]
+        with pytest.raises(ValueError, match=r"point 2 has 3 coordinates.*"
+                                             r"dimension 2"):
+            load(points)
+        three_d = RTreeConfig(layout=PageLayout(dimension=3))
+        with pytest.raises(ValueError, match=r"point 0 has 2 coordinates.*"
+                                             r"dimension 3"):
+            load([(0.0, 0.0)], config=three_d)
+
+    @pytest.mark.parametrize("load", [bulk_load, grid_load])
+    def test_oid_count_must_match(self, load):
+        with pytest.raises(ValueError, match="1 oids for 2 points"):
+            load([(0.0, 0.0), (1.0, 1.0)], oids=[7])
